@@ -36,6 +36,65 @@ EXIT_INVARIANT_VIOLATION = 4
 EXIT_INCOMPLETE = 5
 
 
+class _BadInput(Exception):
+    """Input a command cannot run on; ``main`` prints it as one line."""
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON
+        raise _BadInput(f"cannot read {what} {path}: {exc}") from None
+
+
+def _positive_ints(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(
+        type(x) is int and x >= 1 for x in value
+    ):
+        raise _BadInput(f"{what} must be a JSON array of positive integers")
+    return value
+
+
+_SCHEDULE_KINDS = ("explicit", "round_robin", "random", "sequential")
+
+
+def _parse_schedule(spec: str, workload: list[tuple[int, ...]]) -> Schedule:
+    """The --schedule value, with every pid checked against 1..p."""
+    try:
+        data = json.loads(spec)
+    except ValueError as exc:
+        raise _BadInput(f"--schedule is not JSON: {exc}") from None
+    if isinstance(data, list):
+        data = {"kind": "explicit", "pids": data}
+    if not isinstance(data, dict) or data.get("kind") not in _SCHEDULE_KINDS:
+        raise _BadInput(
+            "--schedule must be a pid array or an object whose kind is one of "
+            + ", ".join(_SCHEDULE_KINDS)
+        )
+    p = len(workload)
+    pids = data.get("pids")
+    if pids is not None and not (
+        isinstance(pids, list) and all(type(x) is int and 1 <= x <= p for x in pids)
+    ):
+        raise _BadInput(f"schedule pids must be integers from 1 to {p}")
+    if data.get("seed") is not None and type(data["seed"]) is not int:
+        raise _BadInput("schedule seed must be an integer")
+    try:
+        schedule = Schedule.from_json(data)
+        if schedule.merge is not None:
+            schedule.merge.validate(workload)
+    except (TypeError, ValueError) as exc:
+        raise _BadInput(f"schedule merge: {exc}") from None
+    return schedule
+
+
+def _init_state(items: list[int], p: int, phi: int) -> dmtf.SharedState:
+    try:
+        return dmtf.init(items, p, phi)
+    except ValueError as exc:  # too few items, p < 1 or phi < 1
+        raise _BadInput(str(exc)) from None
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
@@ -53,7 +112,9 @@ def _frac(x) -> str:
 
 
 def cmd_distance(args) -> int:
-    seq = json.loads(Path(args.sequence).read_text())
+    seq = _positive_ints(_read_json(args.sequence, "sequence"), "sequence")
+    if args.ell < 1:
+        raise _BadInput("--ell must be >= 1")
     prof = distance(seq, args.ell)
     lines = [_config_header(args, ["sequence", "ell"])]
     if args.format == "json":
@@ -74,8 +135,7 @@ _LADDER = (1, 2, 5, 10, 20, 50, 100)
 def cmd_merge_ratio(args) -> int:
     p, ell = args.p, args.ell
     if ell % p != 0:
-        print(f"error: {p} does not divide {ell}", file=sys.stderr)
-        return EXIT_BAD_ARGS
+        raise _BadInput(f"{p} does not divide {ell}")
     limit = ratio_limit(p, ell)
     rungs = sorted({x for x in _LADDER if x <= min(args.r, args.s)}
                    | {min(args.r, args.s)})
@@ -99,12 +159,19 @@ def cmd_merge_ratio(args) -> int:
 
 
 def cmd_dmtf(args) -> int:
-    workload = [tuple(w) for w in json.loads(Path(args.workload).read_text())]
-    schedule = Schedule.from_json(json.loads(args.schedule))
+    raw = _read_json(args.workload, "workload")
+    if not isinstance(raw, list) or not raw:
+        raise _BadInput("workload must be a JSON array of per-process request arrays")
+    workload = [
+        tuple(_positive_ints(w, f"the requests of process {pid}"))
+        for pid, w in enumerate(raw, start=1)
+    ]
+    schedule = _parse_schedule(args.schedule, workload)
     if schedule.kind == "random" and schedule.seed is None:
         schedule.seed = args.seed
-    items = list(range(1, args.ell + 1))
-    state = dmtf.init(items, len(workload), args.phi)
+    if args.budget < 1:
+        raise _BadInput("--budget must be >= 1")
+    state = _init_state(list(range(1, args.ell + 1)), len(workload), args.phi)
     history = run(state, workload, schedule, step_bound=args.budget)
 
     header = _config_header(
@@ -139,6 +206,11 @@ def cmd_dmtf(args) -> int:
 
 def cmd_explore(args) -> int:
     items = list(range(1, args.ell + 1))
+    _init_state(items, args.p, args.phi)  # the factory's checks, up front
+    if args.item is not None and args.item < 1:
+        raise _BadInput("--item must be >= 1")
+    if args.budget < 1:
+        raise _BadInput("--budget must be >= 1")
     target = args.item if args.item is not None else args.ell
     workload = tuple((target,) * args.requests for _ in range(args.p))
 
@@ -213,7 +285,10 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     """Give --config values priority over defaults but not explicit flags."""
     if not getattr(args, "config", None):
         return
-    for key, value in json.loads(Path(args.config).read_text()).items():
+    config = _read_json(args.config, "config")
+    if not isinstance(config, dict):
+        raise _BadInput("config must be a JSON object")
+    for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         if hasattr(args, key) and flag not in argv:
             setattr(args, key, value)
@@ -287,8 +362,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    _apply_config(args, list(argv))
-    return args.func(args)
+    try:
+        _apply_config(args, list(argv))
+        return args.func(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_ARGS
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterator, Optional, Sequence
 
 from .seqcore import BudgetExceeded, distance, succ_index
@@ -160,12 +160,20 @@ def next_set(
 
     Empty when the source request has no later request to the same item.
     """
-    seq_i, seq_j = seqs[src - 1], seqs[tgt - 1]
+    members = _next_members(
+        seqs[src - 1], seqs[tgt - 1], merge.index_map(src), merge.index_map(tgt), h
+    )
+    return NextSet(src, h, tgt, frozenset(members))
+
+
+def _next_members(
+    seq_i: Seq, seq_j: Seq, f_i: dict[int, int], f_j: dict[int, int], h: int
+) -> set[int]:
+    """Members of the NEXT set of seq_i's request h toward seq_j, given both
+    sequences' index maps into the merge."""
     sh = succ_index(seq_i, h)
     if sh is None:
-        return NextSet(src, h, tgt, frozenset())
-    f_i = merge.index_map(src)
-    f_j = merge.index_map(tgt)
+        return set()
     lo, hi = f_i[h], f_i[sh]
     members = set()
     seen_items = set()  # items of target requests merged after lo, in order
@@ -177,7 +185,7 @@ def next_set(
         if pos < hi and item not in seen_items:
             members.add(j)
         seen_items.add(item)
-    return NextSet(src, h, tgt, frozenset(members))
+    return members
 
 
 @dataclass(frozen=True)
@@ -248,8 +256,9 @@ def build_partitions(seq_i: Seq, seq_j: Seq, merge: Merge) -> PartitionPair:
         parts_i.append(part)
 
     # partition for the second sequence, based on the first
+    f_i, f_j = merge.index_map(1), merge.index_map(2)
     next_members = {
-        i: sorted(next_set((seq_i, seq_j), merge, 1, i, 2).members)
+        i: sorted(_next_members(seq_i, seq_j, f_i, f_j, i))
         for i in range(1, len(seq_i) + 1)
     }
     assigned_j = [False] * (len(seq_j) + 1)
@@ -275,7 +284,7 @@ def check_c_worst(
 ) -> tuple[Fraction, bool]:
     """Ratio d(concatenation)/d(merge) and whether it is at most p."""
     p = len(seqs)
-    d_c = distance(Merge.concatenation(seqs).flatten(seqs), ell).total
+    d_c = distance(tuple(chain.from_iterable(seqs)), ell).total
     d_m = distance(merge.flatten(seqs), ell).total
     ratio = Fraction(d_c, d_m)
     return ratio, ratio <= p
@@ -291,7 +300,7 @@ def check_c_best(
         for j in range(i + 1, p):
             if set(seqs[i]) & set(seqs[j]):
                 raise ValueError("sequences must be pairwise disjoint")
-    d_c = distance(Merge.concatenation(seqs).flatten(seqs), ell).total
+    d_c = distance(tuple(chain.from_iterable(seqs)), ell).total
     d_m = distance(merge.flatten(seqs), ell).total
     slack = d_m - (2 * p - 1) * d_c
     return slack, slack <= 7 * p * p * ell * ell

@@ -22,8 +22,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class CostModel(enum.Enum):
@@ -65,7 +64,7 @@ def succ_index(seq: Sequence[int], j: int) -> Optional[int]:
     return None
 
 
-def distance(seq: Sequence[int], ell: int) -> DistanceProfile:
+def distance(seq: Iterable[int], ell: int) -> DistanceProfile:
     """Distance profile of ``seq`` for a list of length ``ell``.
 
     The distance of request j is the number of distinct items requested at
@@ -73,22 +72,29 @@ def distance(seq: Sequence[int], ell: int) -> DistanceProfile:
     and ``ell`` for a first request.  ``ell`` is an explicit parameter: after
     renaming transformations a sequence may reference more than ``ell``
     distinct items, and first occurrences still count ``ell``.
+
+    One pass over a move-to-front stack of the items seen so far, most
+    recent first (the LRU stack distance of Mattson et al., 1970).  Just
+    before request j, the items above the requested one are exactly the
+    distinct items requested after prev, so its 1-based stack position is
+    the number of distinct items at prev..j-1.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if any(x < 1 for x in seq):
-        raise ValueError("item ids must be positive")
-    last_seen: dict[int, int] = {}
+    stack: list[int] = []
+    seen: set[int] = set()
     per: list[int] = []
-    for j, item in enumerate(seq, start=1):
-        prev = last_seen.get(item)
-        if prev is None:
-            per.append(ell)
+    for item in seq:
+        if item in seen:
+            pos = stack.index(item)
+            per.append(pos + 1)
+            del stack[pos]
         else:
-            # distinct items at positions prev..j-1 == items whose most
-            # recent occurrence before j is at position >= prev
-            per.append(sum(1 for pos in last_seen.values() if pos >= prev))
-        last_seen[item] = j
+            if item < 1:
+                raise ValueError("item ids must be positive")
+            seen.add(item)
+            per.append(ell)
+        stack.insert(0, item)
     return DistanceProfile(tuple(per), sum(per))
 
 
@@ -233,8 +239,3 @@ def all_sequences(items: Sequence[int], length: int):
     for rest in all_sequences(items, length - 1):
         for x in items:
             yield rest + (x,)
-
-
-def all_orders(items: Sequence[int]):
-    """Yield every list state over ``items``."""
-    yield from permutations(items)

@@ -164,3 +164,66 @@ def test_config_file_defaults(tmp_path, capsys):
                  "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "10,30,20,3/2" in out
+
+
+def _rejected(argv, capsys):
+    """main returns EXIT_BAD_ARGS with a one-line message, not a traceback."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def test_distance_rejects_bad_items(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    for text in ("[1, 0, 2]", "[1, 1, -3]", "[1, 2.5]", '[1, "2"]', "[true]",
+                 "{}", "[1, 2"):
+        seq.write_text(text)
+        _rejected(["distance", str(seq), "--ell", "3"], capsys)
+    seq.write_text("[1, 2]")
+    _rejected(["distance", str(seq), "--ell", "0"], capsys)
+    _rejected(["distance", str(tmp_path / "missing.json"), "--ell", "3"], capsys)
+
+
+def test_dmtf_rejects_bad_schedule_pids(tmp_path, capsys):
+    wl = tmp_path / "wl.json"
+    wl.write_text("[[2], [2]]")
+    base = ["dmtf", "--workload", str(wl), "--ell", "2"]
+    for spec in ("[3]", "[1, 3]", "[0, 0, 0, 0, 0, 0, 0, 0]", "[-1]", "[1.5]",
+                 '{"kind": "explicit", "pids": [1, 3]}', '{"kind": "bogus"}',
+                 '{"kind": "random", "seed": "x"}',
+                 '{"kind": "sequential", "merge": [[1, 1], [3, 1]]}',
+                 "not json"):
+        msg = _rejected(base + ["--schedule", spec], capsys)
+        if spec.startswith("[") and "pids" not in spec:
+            assert "from 1 to 2" in msg
+    # a null seed falls back to --seed, and a valid explicit schedule still
+    # runs to completion
+    assert main(base + ["--schedule", '{"kind": "random", "seed": null}',
+                        "--out", str(tmp_path / "r.ndjson")]) == 0
+    assert main(base + ["--schedule", json.dumps([1, 2] * 100),
+                        "--out", str(tmp_path / "h.ndjson")]) == 0
+
+
+def test_dmtf_rejects_bad_workload_and_bounds(tmp_path, capsys):
+    wl = tmp_path / "wl.json"
+    for text in ("[[2], [0]]", "[2, 1]", "[]", "[[2], [1.5]]"):
+        wl.write_text(text)
+        _rejected(["dmtf", "--workload", str(wl), "--ell", "2"], capsys)
+    wl.write_text("[[2], [2]]")
+    for extra in (["--ell", "1"], ["--ell", "2", "--phi", "0"],
+                  ["--ell", "2", "--budget", "0"]):
+        _rejected(["dmtf", "--workload", str(wl)] + extra, capsys)
+
+
+def test_explore_rejects_bad_bounds(capsys):
+    for extra in (["--p", "0"], ["--ell", "1"], ["--item", "0"],
+                  ["--budget", "0"], ["--phi", "0"]):
+        _rejected(["explore"] + extra, capsys)
+
+
+def test_config_file_rejects_unreadable(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    for path in (cfg, tmp_path / "missing.json"):
+        _rejected(["findvalue", "--mode", "exact", "--config", str(path)], capsys)

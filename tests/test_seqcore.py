@@ -57,7 +57,42 @@ def test_distance_rejects_bad_input():
     with pytest.raises(ValueError):
         distance([0, 1], ell=3)
     with pytest.raises(ValueError):
+        distance([1, 1, 0], ell=3)  # the bad item comes after a repeat
+    with pytest.raises(ValueError):
         distance([1], ell=0)
+
+
+def test_distance_accepts_one_shot_iterator():
+    # a request sequence may be any iterable, consumed exactly once
+    assert distance(iter([A, B, A]), ell=3) == DistanceProfile((3, 3, 2), 8)
+    assert distance((x for x in [A, A]), ell=5) == DistanceProfile((5, 1), 6)
+
+
+def _naive_distance(seq, ell):
+    """The definition, index by index: distinct items at prev..j-1."""
+    per = []
+    for j in range(1, len(seq) + 1):
+        prev = prev_index(seq, j)
+        per.append(ell if prev is None else len(set(seq[prev - 1 : j - 1])))
+    return per
+
+
+@pytest.mark.parametrize(
+    "ell,items,lengths",
+    [
+        (50, 6, (1, 40)),  # ell far above the number of distinct items
+        (3, 9, (1, 40)),  # more items than ell: a renamed universe
+        (4, 3, (300, 400)),  # a long stream over few items
+        (2, 2, (0, 4)),  # short sequences, including the empty one
+    ],
+)
+def test_distance_matches_definition(ell, items, lengths):
+    rng = random.Random(ell * 1000 + items)
+    for _ in range(60):
+        seq = [rng.randint(1, items) for _ in range(rng.randint(*lengths))]
+        prof = distance(seq, ell)
+        assert list(prof.per_index) == _naive_distance(seq, ell)
+        assert prof.total == sum(prof.per_index)
 
 
 def test_mtf_hand_values():
