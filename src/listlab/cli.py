@@ -199,7 +199,12 @@ def cmd_dmtf(args) -> int:
             print(f"invariant violation: {v}", file=sys.stderr)
         return EXIT_INVARIANT_VIOLATION
     if not history.completed:
-        print("step bound exceeded with pending operations", file=sys.stderr)
+        # the budget is checked before every step, so a shorter run means
+        # the explicit schedule ran out first
+        if len(history.schedule) < args.budget:
+            print("schedule exhausted with pending operations", file=sys.stderr)
+        else:
+            print("step bound exceeded with pending operations", file=sys.stderr)
         return EXIT_INCOMPLETE
     return EXIT_OK
 
@@ -211,6 +216,8 @@ def cmd_explore(args) -> int:
         raise _BadInput("--item must be >= 1")
     if args.budget < 1:
         raise _BadInput("--budget must be >= 1")
+    if args.requests < 0:
+        raise _BadInput("--requests must be >= 0")
     target = args.item if args.item is not None else args.ell
     workload = tuple((target,) * args.requests for _ in range(args.p))
 

@@ -41,6 +41,9 @@ _SENTINEL_NAMES = {NULL: "null", DONE: "done", GONE: "gone"}
 
 Recorder = Callable[[dict], None]
 
+# kinds of undo-journal entries, one per kind of shared write
+_ALLOC, _HEAD, _ANN, _NODE = "alloc", "head", "ann", "node"
+
 
 class Node:
     __slots__ = ("item", "next", "prev", "old", "new")
@@ -105,6 +108,8 @@ class SharedState:
         self.prepend_counts: dict[int, int] = {}
         self.removed: set[int] = set()
         self.transition_violations: list[str] = []
+        # undo journal for in-place exploration; None (off) outside it
+        self.journal: Optional[list[tuple]] = None
         # striped locks for the native backend: per-node stripes plus one
         # for Head, the announcement array, and allocation
         self.cas_locks = tuple(threading.Lock() for _ in range(17))
@@ -114,6 +119,8 @@ class SharedState:
     def allocate(self, item: int) -> int:
         node = Node(item)
         self.arena.append(node)
+        if self.journal is not None:
+            self.journal.append((_ALLOC,))
         return len(self.arena) - 1
 
     def node(self, handle: int) -> Node:
@@ -134,8 +141,11 @@ class SharedState:
         prior = self.head
         ok = prior == expected
         if ok:
-            self.head = new
             g = new[0]
+            if self.journal is not None:
+                self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0),
+                                     len(self.ever_in_list)))
+            self.head = new
             self.prepend_counts[g] = self.prepend_counts.get(g, 0) + 1
             self.ever_in_list.add(g)
         if rec:
@@ -155,6 +165,8 @@ class SharedState:
         prior = self.ann[j - 1]
         ok = prior == expected
         if ok:
+            if self.journal is not None:
+                self.journal.append((_ANN, j - 1, prior))
             self.ann[j - 1] = new
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas", "cell": ["ann", j],
@@ -176,6 +188,10 @@ class SharedState:
         prior = getattr(node, fieldname)
         ok = prior == expected
         if ok:
+            if self.journal is not None:
+                self.journal.append((_NODE, node, fieldname, prior,
+                                     len(self.transition_violations),
+                                     len(self.removed)))
             if not _legal_transition(fieldname, prior, new):
                 self.transition_violations.append(
                     f"node {handle}.{fieldname}: {prior} -> {new}"
@@ -188,6 +204,37 @@ class SharedState:
                  "cell": ["node", handle, fieldname], "expected": expected,
                  "new": new, "prior": prior, "ok": ok})
         return prior
+
+    def rollback(self, mark: int) -> None:
+        """Undo the journaled writes made since the journal was ``mark`` long.
+
+        Entries are undone newest first, so each one finds the state as its
+        write left it: a bookkeeping container that grew since the recorded
+        length grew by exactly that write's element.
+        """
+        journal = self.journal
+        while len(journal) > mark:
+            entry = journal.pop()
+            kind = entry[0]
+            if kind == _NODE:
+                _, node, fieldname, prior, n_violations, n_removed = entry
+                setattr(node, fieldname, prior)
+                del self.transition_violations[n_violations:]
+                if len(self.removed) > n_removed:
+                    self.removed.discard(prior)
+            elif kind == _ANN:
+                self.ann[entry[1]] = entry[2]
+            elif kind == _HEAD:
+                _, prior, g, count, n_listed = entry
+                self.head = prior
+                if count:
+                    self.prepend_counts[g] = count
+                else:
+                    del self.prepend_counts[g]
+                if len(self.ever_in_list) > n_listed:
+                    self.ever_in_list.discard(g)
+            else:
+                self.arena.pop()
 
     # -- introspection ---------------------------------------------------------
 
@@ -305,6 +352,11 @@ class ProcessRun:
     @property
     def done(self) -> bool:
         return self.result is not None
+
+    def copy(self) -> "ProcessRun":
+        twin = ProcessRun.__new__(ProcessRun)
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def canonical(self) -> tuple:
         return (

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -174,6 +174,27 @@ class _Driver:
             self.cursors[i] += 1
             return "responded"
         return "stepped"
+
+    def mark(self, pid: int) -> tuple:
+        """What ``undo`` needs to take back the next step of ``pid``.
+
+        The pid's run is replaced by a copy for the step to change, so the
+        original comes back untouched.  The state's journal must be on.
+        """
+        i = pid - 1
+        run = self.runs[i]
+        if run is not None:
+            self.runs[i] = run.copy()
+        return (run, self.cursors[i], self.opids[i], self.next_opid,
+                len(self.state.journal), len(self.events), len(self.schedule))
+
+    def undo(self, pid: int, mark: tuple) -> None:
+        i = pid - 1
+        (self.runs[i], self.cursors[i], self.opids[i], self.next_opid,
+         n_journal, n_events, n_steps) = mark
+        self.state.rollback(n_journal)
+        del self.events[n_events:]
+        del self.schedule[n_steps:]
 
     def history(self) -> ExecutionHistory:
         return ExecutionHistory(
@@ -486,24 +507,12 @@ class ExploreReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _clone_state(state: SharedState) -> SharedState:
-    new = SharedState.__new__(SharedState)
-    new.items = state.items
-    new.p = state.p
-    new.phi = state.phi
-    new.arena = []
-    for n in state.arena:
-        c = dmtf.Node(n.item)
-        c.next, c.prev, c.old, c.new = n.next, n.prev, n.old, n.new
-        new.arena.append(c)
-    new.head = state.head
-    new.ann = list(state.ann)
-    new.ever_in_list = set(state.ever_in_list)
-    new.prepend_counts = dict(state.prepend_counts)
-    new.removed = set(state.removed)
-    new.transition_violations = list(state.transition_violations)
-    new.cas_locks = state.cas_locks
-    return new
+def _canon(drv: _Driver) -> tuple:
+    return (
+        drv.state.canonical(),
+        tuple(r.canonical() if r else None for r in drv.runs),
+        tuple(drv.cursors),
+    )
 
 
 def explore_all(
@@ -518,69 +527,55 @@ def explore_all(
     one new state on each prefix (pruned schedules revisit a state some other
     schedule already reached, so their reachable behavior is covered).  Paths
     cut off by the step bound count as ``bound_hits``.
+
+    One driver is stepped in place: after each child the state's undo
+    journal and the driver's saved fields restore the parent.  Each history
+    is yielded with its own copies of the events and the schedule, so it
+    stays valid while the exploration goes on.
     """
     if report is None:
         report = ExploreReport(0, 0, 0)
-    seen: set = set()
+    drv = _Driver(state_factory(), workload)
+    drv.state.journal = []
+    seen = {_canon(drv)}
+    report.states += 1
+    yield from _explore(drv, 0, seen, step_bound, report)
 
-    def canon(drv: _Driver) -> tuple:
-        return (
-            drv.state.canonical(),
-            tuple(r.canonical() if r else None for r in drv.runs),
-            tuple(drv.cursors),
-        )
 
-    def clone_driver(drv: _Driver) -> _Driver:
-        new = _Driver.__new__(_Driver)
-        new.state = _clone_state(drv.state)
-        new.workload = drv.workload
-        new.runs = [
-            ProcessRun(**vars(r)) if r is not None else None for r in drv.runs
-        ]
-        new.cursors = list(drv.cursors)
-        new.opids = list(drv.opids)
-        new.next_opid = drv.next_opid
-        new.events = list(drv.events)
-        new.schedule = list(drv.schedule)
-        return new
-
-    def dfs(drv: _Driver, depth: int) -> Iterator[ExecutionHistory]:
-        if drv.all_done():
-            report.histories += 1
-            yield drv.history()
-            return
-        if depth >= step_bound:
-            report.bound_hits += 1
-            return
-        for pid in range(1, drv.state.p + 1):
-            if not drv.pending(pid):
-                continue
-            child = clone_driver(drv)
-            outcome = child.step(pid)
-            if child.state.transition_violations:
+def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
+             report: ExploreReport) -> Iterator[ExecutionHistory]:
+    if drv.all_done():
+        report.histories += 1
+        yield replace(drv.history(), events=list(drv.events),
+                      schedule=list(drv.schedule))
+        return
+    if depth >= step_bound:
+        report.bound_hits += 1
+        return
+    state = drv.state
+    for pid in range(1, state.p + 1):
+        if not drv.pending(pid):
+            continue
+        mark = drv.mark(pid)
+        outcome = drv.step(pid)
+        if state.transition_violations:
+            report.violations.append(
+                f"schedule {drv.schedule}: {state.transition_violations[-1]}"
+            )
+        if outcome == "responded":
+            # every response reached by the exploration must already
+            # linearize against the path that produced it
+            verdict = check_linearizable(drv.history())
+            if isinstance(verdict, Counterexample):
                 report.violations.append(
-                    f"schedule {child.schedule}: "
-                    f"{child.state.transition_violations[-1]}"
+                    f"schedule {drv.schedule}: {verdict.reason}"
                 )
-            if outcome == "responded":
-                # every response reached by the exploration must already
-                # linearize against the path that produced it
-                verdict = check_linearizable(child.history())
-                if isinstance(verdict, Counterexample):
-                    report.violations.append(
-                        f"schedule {child.schedule}: {verdict.reason}"
-                    )
-            key = canon(child)
-            if key in seen:
-                continue
+        key = _canon(drv)
+        if key not in seen:
             seen.add(key)
             report.states += 1
-            yield from dfs(child, depth + 1)
-
-    base = _Driver(state_factory(), workload)
-    seen.add(canon(base))
-    report.states += 1
-    yield from dfs(base, 0)
+            yield from _explore(drv, depth + 1, seen, step_bound, report)
+        drv.undo(pid, mark)
 
 
 def explore_check(

@@ -216,9 +216,23 @@ def test_dmtf_rejects_bad_workload_and_bounds(tmp_path, capsys):
         _rejected(["dmtf", "--workload", str(wl)] + extra, capsys)
 
 
+def test_dmtf_incomplete_run_names_what_ran_out(tmp_path, capsys):
+    wl = tmp_path / "wl.json"
+    wl.write_text("[[2], [2]]")
+    base = ["dmtf", "--workload", str(wl), "--ell", "2",
+            "--out", str(tmp_path / "h.ndjson")]
+    assert main(base + ["--schedule", json.dumps([1, 2] * 7)]) == 5
+    assert capsys.readouterr().err == "schedule exhausted with pending operations\n"
+    assert main(base + ["--schedule", json.dumps([1, 2] * 7),
+                        "--budget", "10"]) == 5
+    assert capsys.readouterr().err == "step bound exceeded with pending operations\n"
+    assert main(base + ["--budget", "10"]) == 5
+    assert capsys.readouterr().err == "step bound exceeded with pending operations\n"
+
+
 def test_explore_rejects_bad_bounds(capsys):
     for extra in (["--p", "0"], ["--ell", "1"], ["--item", "0"],
-                  ["--budget", "0"], ["--phi", "0"]):
+                  ["--budget", "0"], ["--phi", "0"], ["--requests", "-1"]):
         _rejected(["explore"] + extra, capsys)
 
 
