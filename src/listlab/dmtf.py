@@ -14,11 +14,13 @@ Two executions of the same protocol are provided:
 * an interpreter that performs exactly one shared-memory access per step,
   driven by an external schedule (every interleaving is reachable and
   replayable), and
-* a native backend for real threads, where compare-and-swap is made atomic
-  by a single lock and plain reads are ordinary attribute loads.
+* a native backend for real threads, where plain reads on the traversal
+  path are ordinary attribute loads.
 
-Both follow the identical access sequence for a solo run, which the test
-suite checks by record/replay.
+Both write only through the compare-and-swap methods of ``SharedState``,
+which take its striped locks, so one ``cas_node`` checks every transition
+for both.  Both follow the identical access sequence for a solo run, which
+the test suite checks by record/replay.
 
 Shared cells hold item ids (positive ints) or node handles (indices into an
 append-only arena).  Nodes are never reclaimed within a run, so handle reuse
@@ -110,18 +112,21 @@ class SharedState:
         self.transition_violations: list[str] = []
         # undo journal for in-place exploration; None (off) outside it
         self.journal: Optional[list[tuple]] = None
-        # striped locks for the native backend: per-node stripes plus one
-        # for Head, the announcement array, and allocation
+        # striped locks taken by every write, so that threads may share the
+        # state: stripe ``handle & 15`` for a node's cells, stripe 16 for
+        # allocation, Head and the announcement array
         self.cas_locks = tuple(threading.Lock() for _ in range(17))
 
     # -- shared-memory primitives (single access each) ------------------------
 
     def allocate(self, item: int) -> int:
         node = Node(item)
-        self.arena.append(node)
-        if self.journal is not None:
-            self.journal.append((_ALLOC,))
-        return len(self.arena) - 1
+        with self.cas_locks[16]:
+            self.arena.append(node)
+            handle = len(self.arena) - 1
+            if self.journal is not None:
+                self.journal.append((_ALLOC,))
+        return handle
 
     def node(self, handle: int) -> Node:
         if handle < 0:
@@ -138,16 +143,17 @@ class SharedState:
         return value
 
     def cas_head(self, pid: int, expected, new, rec: Optional[Recorder]) -> tuple:
-        prior = self.head
-        ok = prior == expected
-        if ok:
-            g = new[0]
-            if self.journal is not None:
-                self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0),
-                                     len(self.ever_in_list)))
-            self.head = new
-            self.prepend_counts[g] = self.prepend_counts.get(g, 0) + 1
-            self.ever_in_list.add(g)
+        with self.cas_locks[16]:
+            prior = self.head
+            ok = prior == expected
+            if ok:
+                g = new[0]
+                if self.journal is not None:
+                    self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0),
+                                         len(self.ever_in_list)))
+                self.head = new
+                self.prepend_counts[g] = self.prepend_counts.get(g, 0) + 1
+                self.ever_in_list.add(g)
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas", "cell": ["head"],
                  "expected": list(expected), "new": list(new),
@@ -162,12 +168,13 @@ class SharedState:
         return value
 
     def cas_ann(self, pid: int, j: int, expected, new, rec: Optional[Recorder]) -> tuple:
-        prior = self.ann[j - 1]
-        ok = prior == expected
-        if ok:
-            if self.journal is not None:
-                self.journal.append((_ANN, j - 1, prior))
-            self.ann[j - 1] = new
+        with self.cas_locks[16]:
+            prior = self.ann[j - 1]
+            ok = prior == expected
+            if ok:
+                if self.journal is not None:
+                    self.journal.append((_ANN, j - 1, prior))
+                self.ann[j - 1] = new
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas", "cell": ["ann", j],
                  "expected": list(expected), "new": list(new),
@@ -185,20 +192,21 @@ class SharedState:
     def cas_node(self, pid: int, handle: int, fieldname: str, expected: int,
                  new: int, rec: Optional[Recorder]) -> int:
         node = self.node(handle)
-        prior = getattr(node, fieldname)
-        ok = prior == expected
-        if ok:
-            if self.journal is not None:
-                self.journal.append((_NODE, node, fieldname, prior,
-                                     len(self.transition_violations),
-                                     len(self.removed)))
-            if not _legal_transition(fieldname, prior, new):
-                self.transition_violations.append(
-                    f"node {handle}.{fieldname}: {prior} -> {new}"
-                )
-            setattr(node, fieldname, new)
-            if fieldname == "next" and prior >= 0:
-                self.removed.add(prior)
+        with self.cas_locks[handle & 15]:
+            prior = getattr(node, fieldname)
+            ok = prior == expected
+            if ok:
+                if self.journal is not None:
+                    self.journal.append((_NODE, node, fieldname, prior,
+                                         len(self.transition_violations),
+                                         len(self.removed)))
+                if not _legal_transition(fieldname, prior, new):
+                    self.transition_violations.append(
+                        f"node {handle}.{fieldname}: {prior} -> {new}"
+                    )
+                setattr(node, fieldname, new)
+                if fieldname == "next" and prior >= 0:
+                    self.removed.add(prior)
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas",
                  "cell": ["node", handle, fieldname], "expected": expected,
@@ -546,155 +554,87 @@ def search_native(state: SharedState, pid: int, e: int,
                   trace: Optional[list] = None) -> int:
     """The same search against the shared arena, for real threads.
 
-    CAS atomicity comes from the state's lock; plain reads are unlocked
-    attribute loads.  The shared-access order matches the interpreter step
-    for step, which the record/replay test pins down.  Reads are inlined
-    and only optionally traced so the stress path stays cheap.  Returns a
-    handle or NOT_PRESENT.
+    Writes go through the state's locked CAS methods; plain reads are
+    unlocked.  The shared-access order matches the interpreter step for
+    step, which the record/replay test pins down.  The traversal loop reads
+    inline and traces only when asked, so the stress path stays cheap.
+    Returns a handle or NOT_PRESENT.
     """
     arena = state.arena
     ann = state.ann
     phi = state.phi
-    stripes = state.cas_locks
-    shared_lock = stripes[16]
-
-    def rd(handle, fieldname):
-        value = getattr(arena[handle], fieldname)
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "read",
-                          "cell": ["node", handle, fieldname], "value": value})
-        return value
-
-    def cas_ann(j, expected, new):
-        with shared_lock:
-            prior = ann[j - 1]
-            if prior == expected:
-                ann[j - 1] = new
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "cas",
-                          "cell": ["ann", j], "expected": list(expected),
-                          "new": list(new), "prior": list(prior),
-                          "ok": prior == expected})
-        return prior
-
-    def cas_node(handle, fieldname, expected, new):
-        node = arena[handle]
-        with stripes[handle & 15]:
-            prior = getattr(node, fieldname)
-            ok = prior == expected
-            if ok:
-                if not _legal_transition(fieldname, prior, new):
-                    state.transition_violations.append(
-                        f"node {handle}.{fieldname}: {prior} -> {new}"
-                    )
-                setattr(node, fieldname, new)
-                if fieldname == "next" and prior >= 0:
-                    state.removed.add(prior)
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "cas",
-                          "cell": ["node", handle, fieldname],
-                          "expected": expected, "new": new, "prior": prior,
-                          "ok": ok})
-        return prior
-
-    def cas_head(expected, new):
-        with shared_lock:
-            prior = state.head
-            ok = prior == expected
-            if ok:
-                state.head = new
-                g = new[0]
-                state.prepend_counts[g] = state.prepend_counts.get(g, 0) + 1
-                state.ever_in_list.add(g)
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "cas",
-                          "cell": ["head"], "expected": list(expected),
-                          "new": list(new), "prior": list(prior), "ok": ok})
-        return prior
-
-    def read_ann(j):
-        value = ann[j - 1]
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "read",
-                          "cell": ["ann", j], "value": list(value)})
-        return value
-
-    def read_head():
-        value = state.head
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "read",
-                          "cell": ["head"], "value": list(value)})
-        return value
+    rec = trace.append if trace is not None else None
+    read_node, read_ann = state.read_node, state.read_ann
+    cas_ann, cas_node = state.cas_ann, state.cas_node
 
     def move_to_front(gp):
-        while rd(gp, "old") != DONE:
-            h1, h2 = read_head()
-            hp = rd(h1, "old")
+        while read_node(pid, gp, "old", rec) != DONE:
+            h1, h2 = state.read_head(pid, rec)
+            hp = read_node(pid, h1, "old", rec)
             if hp == DONE:
-                if rd(gp, "old") != DONE:
-                    cas_head((h1, h2), (gp, h1))
+                if read_node(pid, gp, "old", rec) != DONE:
+                    state.cas_head(pid, (h1, h2), (gp, h1), rec)
             else:
-                cas_node(h1, "next", NULL, h2)
-                cas_node(h2, "prev", NULL, h1)
-                eprime = rd(h1, "item")
+                cas_node(pid, h1, "next", NULL, h2, rec)
+                cas_node(pid, h2, "prev", NULL, h1, rec)
+                eprime = read_node(pid, h1, "item", rec)
                 for j in range(1, state.p + 1):
-                    a, b = read_ann(j)
-                    if b == eprime and rd(h1, "old") != DONE:
-                        cas_ann(j, (a, b), (h1, BOTTOM))
-                pred = rd(hp, "prev")
-                succ = rd(hp, "next")
-                cas_node(pred, "next", hp, succ)
+                    a, b = read_ann(pid, j, rec)
+                    if b == eprime and read_node(pid, h1, "old", rec) != DONE:
+                        cas_ann(pid, j, (a, b), (h1, BOTTOM), rec)
+                pred = read_node(pid, hp, "prev", rec)
+                succ = read_node(pid, hp, "next", rec)
+                cas_node(pid, pred, "next", hp, succ, rec)
                 if succ != NULL:
-                    cas_node(succ, "prev", hp, pred)
-                cas_node(hp, "new", h1, GONE)
-                cas_node(h1, "old", hp, DONE)
+                    cas_node(pid, succ, "prev", hp, pred, rec)
+                cas_node(pid, hp, "new", h1, GONE, rec)
+                cas_node(pid, h1, "old", hp, DONE, rec)
 
-    with shared_lock:
-        g = state.allocate(e)
-    cas_ann(pid, (NULL, BOTTOM), (g, e))
-    h1, h = read_head()
-    if rd(h1, "item") == e:
-        a, b = cas_ann(pid, (g, e), (NULL, BOTTOM))
+    g = state.allocate(e)
+    cas_ann(pid, pid, (NULL, BOTTOM), (g, e), rec)
+    h1, h = state.read_head(pid, rec)
+    if read_node(pid, h1, "item", rec) == e:
+        a, b = cas_ann(pid, pid, (g, e), (NULL, BOTTOM), rec)
         if b == BOTTOM:
-            cas_ann(pid, (a, b), (NULL, BOTTOM))
+            cas_ann(pid, pid, (a, b), (NULL, BOTTOM), rec)
         return h1
     c = 0
     while h != NULL:
         # hot traversal loop: attribute loads inlined
         node = arena[h]
         item = node.item
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "read",
-                          "cell": ["node", h, "item"], "value": item})
+        if rec:
+            rec({"type": "access", "pid": pid, "kind": "read",
+                 "cell": ["node", h, "item"], "value": item})
         if item == e:
-            a, b = read_ann(pid)
+            a, b = read_ann(pid, pid, rec)
             if b == BOTTOM:
-                cas_ann(pid, (a, b), (NULL, BOTTOM))
+                cas_ann(pid, pid, (a, b), (NULL, BOTTOM), rec)
                 return a
-            cas_node(g, "old", NULL, h)
-            cas_node(h, "new", NULL, g)
-            gp = rd(h, "new")
+            cas_node(pid, g, "old", NULL, h, rec)
+            cas_node(pid, h, "new", NULL, g, rec)
+            gp = read_node(pid, h, "new", rec)
             if gp != GONE:
                 move_to_front(gp)
-            a, b = read_ann(pid)
-            cas_ann(pid, (a, b), (NULL, BOTTOM))
+            a, b = read_ann(pid, pid, rec)
+            cas_ann(pid, pid, (a, b), (NULL, BOTTOM), rec)
             return a
         c = (c + 1) % phi
         if c == 0:
             a, b = ann[pid - 1]
-            if trace is not None:
-                trace.append({"type": "access", "pid": pid, "kind": "read",
-                              "cell": ["ann", pid], "value": [a, b]})
+            if rec:
+                rec({"type": "access", "pid": pid, "kind": "read",
+                     "cell": ["ann", pid], "value": [a, b]})
             if b == BOTTOM:
-                cas_ann(pid, (a, b), (NULL, BOTTOM))
+                cas_ann(pid, pid, (a, b), (NULL, BOTTOM), rec)
                 return a
         nxt = node.next
-        if trace is not None:
-            trace.append({"type": "access", "pid": pid, "kind": "read",
-                          "cell": ["node", h, "next"], "value": nxt})
+        if rec:
+            rec({"type": "access", "pid": pid, "kind": "read",
+                 "cell": ["node", h, "next"], "value": nxt})
         h = nxt
-    a, b = read_ann(pid)
-    cas_ann(pid, (a, b), (NULL, BOTTOM))
+    a, b = read_ann(pid, pid, rec)
+    cas_ann(pid, pid, (a, b), (NULL, BOTTOM), rec)
     return a if b == BOTTOM else NOT_PRESENT
 
 

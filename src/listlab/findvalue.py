@@ -189,6 +189,23 @@ def _deterministic_first_reads(target: int,
     return {pid: (0, f[pid]) for pid in _others(target)}
 
 
+def _play_deterministic(inputs: Sequence[int], policy: AdversaryPolicy) -> _Engine:
+    """Play the neighbour-first deterministic protocol on every input."""
+    f = [(i + 1) % 3 for i in range(3)]
+    engine = _Engine()
+    for k, number in enumerate(inputs):
+        if policy.kind == "fixed":
+            target = policy.target
+        elif policy.kind == "adaptive":
+            target = k % 3  # all targets cost the same here
+        else:
+            target = _forcing_target(f)
+        _play_one_input(
+            target, number, _deterministic_first_reads(target, f), engine
+        )
+    return engine
+
+
 def run_deterministic(
     inputs: Sequence[int], policy: AdversaryPolicy = AdversaryPolicy()
 ) -> tuple[int, int]:
@@ -197,33 +214,14 @@ def run_deterministic(
     Returns (total reads, clairvoyant reads); the former is exactly three
     per input no matter what the adversary does.
     """
-    f = [(i + 1) % 3 for i in range(3)]
-    engine = _Engine()
-    total = 0
-    for k, number in enumerate(inputs):
-        if policy.kind == "fixed":
-            target = policy.target
-        elif policy.kind == "adaptive":
-            target = k % 3  # all targets cost the same here
-        else:
-            target = _forcing_target(f)
-        total += _play_one_input(
-            target, number, _deterministic_first_reads(target, f), engine
-        )
-    return total, OPT_READS_PER_INPUT * len(inputs)
+    engine = _play_deterministic(inputs, policy)
+    return sum(p.reads for p in engine.procs), OPT_READS_PER_INPUT * len(inputs)
 
 
 def registers_after_deterministic(inputs: Sequence[int],
                                   policy: AdversaryPolicy = AdversaryPolicy()):
     """Final register contents of a deterministic run (for safety checks)."""
-    f = [(i + 1) % 3 for i in range(3)]
-    engine = _Engine()
-    for k, number in enumerate(inputs):
-        target = policy.target if policy.kind == "fixed" else k % 3
-        _play_one_input(
-            target, number, _deterministic_first_reads(target, f), engine
-        )
-    return list(engine.regs)
+    return list(_play_deterministic(inputs, policy).regs)
 
 
 def _forcing_target(f: Sequence[int]) -> int:

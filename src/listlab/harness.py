@@ -359,30 +359,18 @@ def check_linearizable(history: ExecutionHistory):
             if not (point <= op.respond_t and point < ends[k]):
                 point = None
         if point is None:
-            point = _exhaustive_point(op, episodes, starts, ends)
-        if point is None:
             return Counterexample(
                 f"op {op.opid} returned node {op.result}, never at the front "
                 "during its interval",
                 op.opid,
                 tuple(history.events[: op.respond_t + 1]),
             )
-        mover = 0 if (k is not None and preppers.get(k) == op.opid) else 1
+        mover = 0 if preppers.get(k) == op.opid else 1
         entry = WitnessEntry(op.opid, op.pid, op.item, op.result, point)
         placed.append((point, mover, op.respond_t, entry))
 
     placed.sort(key=lambda x: (x[0], x[1], x[2]))
     return LinearizationWitness(tuple(e for *_rest, e in placed))
-
-
-def _exhaustive_point(op, episodes, starts, ends) -> Optional[int]:
-    """Fallback: scan every front reign overlapping the op's interval."""
-    for k, (_, front, _) in enumerate(episodes):
-        if front == op.result:
-            point = max(op.invoke_t, starts[k])
-            if point <= op.respond_t and point < ends[k]:
-                return point
-    return None
 
 
 def verify_witness(history: ExecutionHistory, witness: LinearizationWitness) -> None:

@@ -306,12 +306,6 @@ def check_c_best(
     return slack, slack <= 7 * p * p * ell * ell
 
 
-def bound_report_row(instance_id: str, lhs, rhs) -> str:
-    """CSV row for a bound check: instance-id, lhs, rhs, slack, flag."""
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    return f"{instance_id},{lhs},{rhs},{rhs - lhs},{str(lhs <= rhs).lower()}"
-
-
 def min_reverse_distance(items: Seq, max_len: int = 8) -> int:
     """Minimum summed distance of distinct requests preceded by any
     permutation of themselves; the reversal attains |X|(|X|+1)/2."""

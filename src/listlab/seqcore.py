@@ -119,6 +119,21 @@ def mtf_run(
     return cost, order
 
 
+def _serve(states: dict[tuple[int, ...], int], item: int) -> dict[tuple[int, ...], int]:
+    """Serve ``item`` from every order, reinserting it for free at any
+    position up to where it was; the cheapest cost of each new order."""
+    nxt: dict[tuple[int, ...], int] = {}
+    for order, cost in states.items():
+        pos = order.index(item)  # 0-based
+        served = cost + pos + 1
+        rest = order[:pos] + order[pos + 1 :]
+        for dest in range(pos + 1):
+            new_order = rest[:dest] + (item,) + rest[dest:]
+            if served < nxt.get(new_order, served + 1):
+                nxt[new_order] = served
+    return nxt
+
+
 def opt_free_cost(
     seq: Sequence[int],
     init: Sequence[int],
@@ -139,16 +154,7 @@ def opt_free_cost(
         raise ValueError(f"requested items {sorted(missing)} not in list")
     states: dict[tuple[int, ...], int] = {tuple(init): 0}
     for item in seq:
-        nxt: dict[tuple[int, ...], int] = {}
-        for order, cost in states.items():
-            pos = order.index(item)  # 0-based
-            served = cost + pos + 1
-            rest = order[:pos] + order[pos + 1 :]
-            for dest in range(pos + 1):
-                new_order = rest[:dest] + (item,) + rest[dest:]
-                if served < nxt.get(new_order, served + 1):
-                    nxt[new_order] = served
-        states = nxt
+        states = _serve(states, item)
     return min(states.values())
 
 
@@ -194,16 +200,7 @@ def opt_paid_cost(seq: Sequence[int], init: Sequence[int], max_ell: int = 5) -> 
     states: dict[tuple[int, ...], int] = {tuple(init): 0}
     for item in seq:
         states = _paid_closure(states)
-        nxt: dict[tuple[int, ...], int] = {}
-        for order, cost in states.items():
-            pos = order.index(item)
-            served = cost + pos + 1
-            rest = order[:pos] + order[pos + 1 :]
-            for dest in range(pos + 1):
-                new_order = rest[:dest] + (item,) + rest[dest:]
-                if served < nxt.get(new_order, served + 1):
-                    nxt[new_order] = served
-        states = nxt
+        states = _serve(states, item)
     return min(states.values())
 
 

@@ -49,6 +49,13 @@ def test_registers_converge_to_input_order():
     assert all(writer == 2 for writer, _ in regs[0])
 
 
+def test_forcing_run_writes_only_its_forced_target():
+    # the forcing adversary gives every input to process 2
+    regs = registers_after_deterministic([7, 8, 9], AdversaryPolicy("forcing"))
+    assert all(writer == 2 for reg in regs for writer, _ in reg)
+    assert [num for _, num in regs[0]] == [7, 8, 9]
+
+
 def test_adversary_policy_validation():
     with pytest.raises(ValueError):
         AdversaryPolicy("mean")

@@ -316,13 +316,6 @@ def test_check_c_best_on_lower_bound_instance():
     assert ok
 
 
-def test_bound_report_row():
-    from listlab.merges import bound_report_row
-
-    assert bound_report_row("i0", 3, 6) == "i0,3,6,3,true"
-    assert bound_report_row("i1", Fraction(7, 2), 3) == "i1,7/2,3,-1/2,false"
-
-
 # -- reverse-permutation minimum ---------------------------------------------------
 
 
