@@ -28,9 +28,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 OPT_READS_PER_INPUT = 2
+_NEIGHBOUR_FIRST = (1, 2, 0)  # each process reads its clockwise neighbour first
 
 
 class InsufficientTape(Exception):
@@ -172,38 +173,35 @@ class _Engine:
         raise RuntimeError("engine failed to quiesce")
 
 
-def _play_one_input(target: int, number: int,
-                    first_read: dict[int, tuple[int, int]],
-                    engine: _Engine) -> int:
-    """Deliver one input and run to quiescence; returns reads it cost."""
-    before = sum(p.reads for p in engine.procs)
-    engine.deliver(target, number, first_read)
-    engine.tick()
-    engine.settle()
-    engine.tick()  # the idle round the adversary waits out
-    return sum(p.reads for p in engine.procs) - before
+def _target(policy: AdversaryPolicy, k: int) -> int:
+    """Who receives input ``k``.  Every target costs the same for a protocol
+    that restarts from a symmetric quiescent state, so the adaptive
+    adversary breaks the tie by rotating."""
+    if policy.kind == "fixed":
+        return policy.target
+    if policy.kind == "adaptive":
+        return k % 3
+    return _forcing_target(_NEIGHBOUR_FIRST)
 
 
-def _deterministic_first_reads(target: int,
-                               f: Sequence[int]) -> dict[int, tuple[int, int]]:
-    return {pid: (0, f[pid]) for pid in _others(target)}
-
-
-def _play_deterministic(inputs: Sequence[int], policy: AdversaryPolicy) -> _Engine:
-    """Play the neighbour-first deterministic protocol on every input."""
-    f = [(i + 1) % 3 for i in range(3)]
+def _play(inputs: Sequence[int], policy: AdversaryPolicy,
+          first_reads: Callable[[int], dict[int, tuple[int, int]]]
+          ) -> tuple[_Engine, int]:
+    """Deliver each input and run to quiescence plus the idle round the
+    adversary waits out; returns the engine and the reads spent."""
     engine = _Engine()
     for k, number in enumerate(inputs):
-        if policy.kind == "fixed":
-            target = policy.target
-        elif policy.kind == "adaptive":
-            target = k % 3  # all targets cost the same here
-        else:
-            target = _forcing_target(f)
-        _play_one_input(
-            target, number, _deterministic_first_reads(target, f), engine
-        )
-    return engine
+        target = _target(policy, k)
+        engine.deliver(target, number, first_reads(target))
+        engine.tick()
+        engine.settle()
+        engine.tick()
+    return engine, sum(p.reads for p in engine.procs)
+
+
+def _deterministic_first_reads(target: int, f: Sequence[int] = _NEIGHBOUR_FIRST
+                               ) -> dict[int, tuple[int, int]]:
+    return {pid: (0, f[pid]) for pid in _others(target)}
 
 
 def run_deterministic(
@@ -214,14 +212,15 @@ def run_deterministic(
     Returns (total reads, clairvoyant reads); the former is exactly three
     per input no matter what the adversary does.
     """
-    engine = _play_deterministic(inputs, policy)
-    return sum(p.reads for p in engine.procs), OPT_READS_PER_INPUT * len(inputs)
+    _, reads = _play(inputs, policy, _deterministic_first_reads)
+    return reads, OPT_READS_PER_INPUT * len(inputs)
 
 
 def registers_after_deterministic(inputs: Sequence[int],
                                   policy: AdversaryPolicy = AdversaryPolicy()):
     """Final register contents of a deterministic run (for safety checks)."""
-    return list(_play_deterministic(inputs, policy).regs)
+    engine, _ = _play(inputs, policy, _deterministic_first_reads)
+    return list(engine.regs)
 
 
 def _forcing_target(f: Sequence[int]) -> int:
@@ -234,8 +233,7 @@ def _forcing_target(f: Sequence[int]) -> int:
                 # does not read first
                 return j if f[k] == i else i
     # all first-read targets distinct: catch a reader out with its neighbour
-    k = 0
-    return (k - 1) % 3
+    return 2
 
 
 def lower_bound_adversary(first_reads: Sequence[int]) -> int:
@@ -245,34 +243,34 @@ def lower_bound_adversary(first_reads: Sequence[int]) -> int:
     f = list(first_reads)
     if len(f) != 3 or any(f[i] == i or not 0 <= f[i] <= 2 for i in range(3)):
         raise ValueError("first-read map must name another process per process")
-    target = _forcing_target(f)
-    engine = _Engine()
-    return _play_one_input(target, 1, _deterministic_first_reads(target, f), engine)
+    policy = AdversaryPolicy("fixed", _forcing_target(f))
+    return _play([1], policy, lambda t: _deterministic_first_reads(t, f))[1]
 
 
-def _randomized_first_reads(target: int, delay_bits: dict[int, int],
-                            target_bits: dict[int, int]) -> dict[int, tuple[int, int]]:
-    out = {}
-    for pid in _others(target):
-        choices = _others(pid)
-        out[pid] = (2 * delay_bits[pid], choices[target_bits[pid]])
-    return out
+def _randomized_first_reads(target: int, bits: Sequence[int]
+                            ) -> dict[int, tuple[int, int]]:
+    """First reads for one input from its four coin bits: (delay, target)
+    for the lower-id notified process, then for the higher-id one."""
+    lo, hi = _others(target)
+    return {
+        lo: (2 * bits[0], _others(lo)[bits[1]]),
+        hi: (2 * bits[2], _others(hi)[bits[3]]),
+    }
 
 
 def _randomized_one_input_reads(target: int, bits: tuple[int, int, int, int]) -> int:
-    """Reads for one input under the randomized protocol with fixed coins.
+    """Reads for one input to ``target`` under the randomized protocol with
+    fixed coins."""
+    policy = AdversaryPolicy("fixed", target)
+    return _play([1], policy, lambda t: _randomized_first_reads(t, bits))[1]
 
-    ``bits`` are (delay, target) for the lower-id notified process, then
-    (delay, target) for the higher-id one.
-    """
-    lo, hi = _others(target)
-    first = _randomized_first_reads(
-        target,
-        {lo: bits[0], hi: bits[2]},
-        {lo: bits[1], hi: bits[3]},
-    )
-    engine = _Engine()
-    return _play_one_input(target, 1, first, engine)
+
+def _reads_table(target: int) -> dict[tuple[int, ...], int]:
+    """Reads for one input to ``target``, for each of the 16 coin outcomes."""
+    return {
+        bits: _randomized_one_input_reads(target, bits)
+        for bits in product((0, 1), repeat=4)
+    }
 
 
 def exact_expected_reads(n: int, policy: AdversaryPolicy = AdversaryPolicy()) -> Fraction:
@@ -282,46 +280,25 @@ def exact_expected_reads(n: int, policy: AdversaryPolicy = AdversaryPolicy()) ->
     if n < 1:
         raise ValueError("need at least one input")
     targets = [policy.target] if policy.kind == "fixed" else [0, 1, 2]
-    per_target = []
-    for target in targets:
-        total = Fraction(0)
-        for bits in product((0, 1), repeat=4):
-            total += _randomized_one_input_reads(target, bits)
-        per_target.append(Fraction(total, 16))
-    return n * max(per_target)
-
-
-EXACT = "exact"
+    return n * max(Fraction(sum(_reads_table(t).values()), 16) for t in targets)
 
 
 def run_randomized(
     inputs: Sequence[int],
     policy: AdversaryPolicy = AdversaryPolicy(),
-    tape: CoinTape | str | None = None,
-):
-    """Randomized protocol: one tape-driven run, or the exact expectation.
+    tape: Optional[CoinTape] = None,
+) -> int:
+    """Simulate the randomized protocol on one coin tape; returns the reads.
 
-    With a CoinTape, simulates that run and returns the read count; with
-    ``EXACT`` (or None), returns the exact expected reads as a Fraction.
+    Each input draws four bits from the tape (see CoinTape).
     """
-    if tape is None or tape == EXACT:
-        return exact_expected_reads(len(inputs), policy)
-    engine = _Engine()
-    total = 0
-    for k, number in enumerate(inputs):
-        if policy.kind == "fixed":
-            target = policy.target
-        else:
-            # every target is equally bad for the restarted protocol; the
-            # adaptive adversary resolves the tie deterministically
-            target = k % 3
-        lo, hi = _others(target)
-        bits = (tape.draw(), tape.draw(), tape.draw(), tape.draw())
-        first = _randomized_first_reads(
-            target, {lo: bits[0], hi: bits[2]}, {lo: bits[1], hi: bits[3]}
-        )
-        total += _play_one_input(target, number, first, engine)
-    return total
+    if not isinstance(tape, CoinTape):
+        raise TypeError("run_randomized needs a CoinTape")
+
+    def first_reads(target: int) -> dict[int, tuple[int, int]]:
+        return _randomized_first_reads(target, [tape.draw() for _ in range(4)])
+
+    return _play(inputs, policy, first_reads)[1]
 
 
 def monte_carlo_expected_reads(
@@ -332,11 +309,7 @@ def monte_carlo_expected_reads(
     The protocol is a deterministic function of the four coin bits, so each
     distinct outcome is simulated once and sampled from a table.
     """
-    target = policy.target if policy.kind == "fixed" else 0
-    table = {
-        bits: _randomized_one_input_reads(target, bits)
-        for bits in product((0, 1), repeat=4)
-    }
+    table = _reads_table(policy.target if policy.kind == "fixed" else 0)
     rng = random.Random(seed)
     total = 0
     for _ in range(n_tapes):

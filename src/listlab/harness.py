@@ -22,6 +22,7 @@ shared-memory accesses (actual).
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -208,50 +209,48 @@ class _Driver:
         )
 
 
+def _pids(schedule: Schedule, drv: _Driver) -> Iterator[int]:
+    """The pid to step next, one per step, for each schedule kind.
+
+    A plain function that returns an iterator, not a generator, so that an
+    unknown kind is rejected before the first step.
+    """
+    pids = range(1, drv.state.p + 1)
+    if schedule.kind == "explicit":
+        return iter(schedule.pids or [])
+    if schedule.kind == "round_robin":
+        return itertools.cycle(pids)
+    if schedule.kind == "random":
+        rng = random.Random(schedule.seed)
+        # the callable never returns the sentinel None, so this never ends
+        return iter(lambda: rng.choice([q for q in pids if drv.pending(q)]), None)
+    if schedule.kind == "sequential":
+        return _sequential_pids(schedule.merge or Merge.concatenation(drv.workload), drv)
+    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+
+
+def _sequential_pids(merge: Merge, drv: _Driver) -> Iterator[int]:
+    """Merge order, each operation stepped from its invoke to its response."""
+    for pid, _idx in merge.steps:
+        yield pid
+        while not drv.op_done(pid):
+            yield pid
+
+
 def run(
     state: SharedState,
     workload: Workload,
     schedule: Schedule,
     step_bound: int = 1_000_000,
 ) -> ExecutionHistory:
-    """Drive the interpreter to completion (or the step bound)."""
+    """Drive the interpreter to completion, or for ``step_bound`` steps."""
     drv = _Driver(state, workload)
-    steps = 0
-
-    def budget() -> bool:
-        nonlocal steps
-        steps += 1
-        return steps <= step_bound
-
-    if schedule.kind == "explicit":
-        for pid in schedule.pids or []:
-            if drv.all_done() or not budget():
-                break
-            drv.step(pid)
-    elif schedule.kind == "round_robin":
-        pid = 0
-        while not drv.all_done() and budget():
-            pid = pid % state.p + 1
-            drv.step(pid)
-    elif schedule.kind == "random":
-        rng = random.Random(schedule.seed)
-        while not drv.all_done() and budget():
-            choices = [q for q in range(1, state.p + 1) if drv.pending(q)]
-            drv.step(rng.choice(choices))
-    elif schedule.kind == "sequential":
-        merge = schedule.merge or Merge.concatenation(drv.workload)
-        ok = True
-        for pid, _idx in merge.steps:
-            if not ok:
-                break
-            drv.step(pid)  # invoke
-            while not drv.op_done(pid):
-                if not budget():
-                    ok = False
-                    break
-                drv.step(pid)
-    else:
-        raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    pids = _pids(schedule, drv)
+    while not drv.all_done() and len(drv.schedule) < step_bound:
+        pid = next(pids, None)
+        if pid is None:
+            break
+        drv.step(pid)
     return drv.history()
 
 

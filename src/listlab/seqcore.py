@@ -42,17 +42,6 @@ class DistanceProfile:
     total: int
 
 
-def prev_index(seq: Sequence[int], j: int) -> Optional[int]:
-    """Largest index j' < j (1-based) with seq[j'] == seq[j], or None."""
-    if not 1 <= j <= len(seq):
-        raise IndexError(f"index {j} out of range for sequence of length {len(seq)}")
-    target = seq[j - 1]
-    for jp in range(j - 1, 0, -1):
-        if seq[jp - 1] == target:
-            return jp
-    return None
-
-
 def succ_index(seq: Sequence[int], j: int) -> Optional[int]:
     """Smallest index j' > j (1-based) with seq[j'] == seq[j], or None."""
     if not 1 <= j <= len(seq):
@@ -202,37 +191,3 @@ def opt_paid_cost(seq: Sequence[int], init: Sequence[int], max_ell: int = 5) -> 
         states = _paid_closure(states)
         states = _serve(states, item)
     return min(states.values())
-
-
-def opt_free_cost_brute(seq: Sequence[int], init: Sequence[int]) -> int:
-    """Independent brute-force recursion over free-exchange strategies.
-
-    No memoization; exponential.  Kept solely as a cross-check oracle for
-    ``opt_free_cost`` on tiny instances.
-    """
-
-    def go(order: tuple[int, ...], k: int) -> int:
-        if k == len(seq):
-            return 0
-        item = seq[k]
-        pos = order.index(item)
-        rest = order[:pos] + order[pos + 1 :]
-        best = None
-        for dest in range(pos + 1):
-            new_order = rest[:dest] + (item,) + rest[dest:]
-            sub = go(new_order, k + 1)
-            if best is None or sub < best:
-                best = sub
-        return pos + 1 + best
-
-    return go(tuple(init), 0)
-
-
-def all_sequences(items: Sequence[int], length: int):
-    """Yield every sequence of exactly ``length`` requests over ``items``."""
-    if length == 0:
-        yield ()
-        return
-    for rest in all_sequences(items, length - 1):
-        for x in items:
-            yield rest + (x,)

@@ -123,9 +123,24 @@ def test_tape_mode_runs_and_counts():
     assert 2 <= reads <= 4
 
 
-def test_run_randomized_exact_mode():
-    assert run_randomized([1], tape="exact") == Fraction(23, 8)
-    assert run_randomized([5, 6]) == 2 * Fraction(23, 8)
+def test_tape_run_matches_reads_table():
+    # a tape run and the exact table build first reads the same way
+    from listlab.findvalue import _reads_table
+
+    for target in range(3):
+        table = _reads_table(target)
+        assert len(table) == 16
+        for bits in product((0, 1), repeat=4):
+            tape = CoinTape(bits)
+            reads = run_randomized([1], AdversaryPolicy("fixed", target), tape)
+            assert reads == table[bits]
+            assert tape.pos == 4
+
+
+def test_run_randomized_needs_a_tape():
+    for tape in (None, "exact"):
+        with pytest.raises(TypeError):
+            run_randomized([1], tape=tape)
 
 
 def test_tape_exhaustion():

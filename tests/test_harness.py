@@ -83,6 +83,24 @@ def test_step_bound_leaves_pending():
     assert [e["type"] for e in h.events].count("respond") == 0
 
 
+@pytest.mark.parametrize("schedule", [
+    Schedule(kind="explicit", pids=[1, 2] * 10),
+    Schedule(kind="round_robin"),
+    Schedule(kind="random", seed=3),
+    Schedule(kind="sequential"),
+], ids=lambda s: s.kind)
+def test_step_bound_caps_every_step(schedule):
+    # every step counts against the bound, an operation's invoke step included
+    h = run(fresh(), ((2, 2), (2,)), schedule, step_bound=5)
+    assert len(h.schedule) == 5 and not h.completed
+
+
+def test_run_rejects_unknown_schedule_kind():
+    # even when there is nothing to step
+    with pytest.raises(ValueError, match="unknown schedule kind"):
+        run(fresh(), ((), ()), Schedule(kind="bogus"))
+
+
 def test_noop_steps_for_idle_process():
     st = fresh(p=2)
     h = run(st, ((1,), ()), Schedule(kind="explicit", pids=[2, 2, 1] + [1] * 10))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
@@ -9,17 +10,62 @@ from listlab.seqcore import (
     BudgetExceeded,
     CostModel,
     DistanceProfile,
-    all_sequences,
     distance,
     mtf_run,
     opt_free_cost,
-    opt_free_cost_brute,
     opt_paid_cost,
-    prev_index,
     succ_index,
 )
 
 A, B, C, X, Y, Z = 1, 2, 3, 1, 2, 3
+
+
+# -- reference helpers: the definitions the fast code is checked against ------
+
+
+def prev_index(seq: Sequence[int], j: int) -> Optional[int]:
+    """Largest index j' < j (1-based) with seq[j'] == seq[j], or None."""
+    if not 1 <= j <= len(seq):
+        raise IndexError(f"index {j} out of range for sequence of length {len(seq)}")
+    target = seq[j - 1]
+    for jp in range(j - 1, 0, -1):
+        if seq[jp - 1] == target:
+            return jp
+    return None
+
+
+def opt_free_cost_brute(seq: Sequence[int], init: Sequence[int]) -> int:
+    """Independent brute-force recursion over free-exchange strategies.
+
+    No memoization; exponential.  Kept solely as a cross-check oracle for
+    ``opt_free_cost`` on tiny instances.
+    """
+
+    def go(order: tuple[int, ...], k: int) -> int:
+        if k == len(seq):
+            return 0
+        item = seq[k]
+        pos = order.index(item)
+        rest = order[:pos] + order[pos + 1 :]
+        best = None
+        for dest in range(pos + 1):
+            new_order = rest[:dest] + (item,) + rest[dest:]
+            sub = go(new_order, k + 1)
+            if best is None or sub < best:
+                best = sub
+        return pos + 1 + best
+
+    return go(tuple(init), 0)
+
+
+def all_sequences(items: Sequence[int], length: int):
+    """Yield every sequence of exactly ``length`` requests over ``items``."""
+    if length == 0:
+        yield ()
+        return
+    for rest in all_sequences(items, length - 1):
+        for x in items:
+            yield rest + (x,)
 
 
 def test_prev_index_basic():
