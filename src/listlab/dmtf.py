@@ -106,9 +106,7 @@ class SharedState:
         self.head: tuple[int, int] = (0, 1)
         self.ann: list[tuple[int, int]] = [(NULL, BOTTOM)] * p
         # bookkeeping for the invariant checker, not part of the protocol
-        self.ever_in_list: set[int] = set(range(len(items)))
         self.prepend_counts: dict[int, int] = {}
-        self.removed: set[int] = set()
         self.transition_violations: list[str] = []
         # undo journal for in-place exploration; None (off) outside it
         self.journal: Optional[list[tuple]] = None
@@ -149,11 +147,9 @@ class SharedState:
             if ok:
                 g = new[0]
                 if self.journal is not None:
-                    self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0),
-                                         len(self.ever_in_list)))
+                    self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0)))
                 self.head = new
                 self.prepend_counts[g] = self.prepend_counts.get(g, 0) + 1
-                self.ever_in_list.add(g)
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas", "cell": ["head"],
                  "expected": list(expected), "new": list(new),
@@ -198,15 +194,12 @@ class SharedState:
             if ok:
                 if self.journal is not None:
                     self.journal.append((_NODE, node, fieldname, prior,
-                                         len(self.transition_violations),
-                                         len(self.removed)))
+                                         len(self.transition_violations)))
                 if not _legal_transition(fieldname, prior, new):
                     self.transition_violations.append(
                         f"node {handle}.{fieldname}: {prior} -> {new}"
                     )
                 setattr(node, fieldname, new)
-                if fieldname == "next" and prior >= 0:
-                    self.removed.add(prior)
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas",
                  "cell": ["node", handle, fieldname], "expected": expected,
@@ -217,30 +210,25 @@ class SharedState:
         """Undo the journaled writes made since the journal was ``mark`` long.
 
         Entries are undone newest first, so each one finds the state as its
-        write left it: a bookkeeping container that grew since the recorded
-        length grew by exactly that write's element.
+        write left it.
         """
         journal = self.journal
         while len(journal) > mark:
             entry = journal.pop()
             kind = entry[0]
             if kind == _NODE:
-                _, node, fieldname, prior, n_violations, n_removed = entry
+                _, node, fieldname, prior, n_violations = entry
                 setattr(node, fieldname, prior)
                 del self.transition_violations[n_violations:]
-                if len(self.removed) > n_removed:
-                    self.removed.discard(prior)
             elif kind == _ANN:
                 self.ann[entry[1]] = entry[2]
             elif kind == _HEAD:
-                _, prior, g, count, n_listed = entry
+                _, prior, g, count = entry
                 self.head = prior
                 if count:
                     self.prepend_counts[g] = count
                 else:
                     del self.prepend_counts[g]
-                if len(self.ever_in_list) > n_listed:
-                    self.ever_in_list.discard(g)
             else:
                 self.arena.pop()
 
@@ -367,11 +355,9 @@ class ProcessRun:
         return twin
 
     def canonical(self) -> tuple:
-        return (
-            self.pid, self.item, self.pc, self.g, self.h, self.h1, self.h2,
-            self.hp, self.gp, self.a, self.b, self.c, self.eprime,
-            self.pred, self.succ, self.j, self.inspected, self.result,
-        )
+        # the fields in declaration order: __init__ sets them in that order
+        # and copy() keeps it
+        return tuple(self.__dict__.values())
 
 
 def step(state: SharedState, run: ProcessRun, rec: Optional[Recorder] = None) -> bool:
@@ -652,6 +638,8 @@ def snapshot_invariants(state: SharedState) -> list[str]:
     except RuntimeError as exc:
         return out + [str(exc)]
     in_list = set(walk)
+    # a node was ever in the list iff it is an initial node or was prepended
+    n_initial, prepended = len(state.items), state.prepend_counts
 
     items_in_list = [state.arena[h].item for h in walk]
     if set(items_in_list) != set(state.items):
@@ -677,7 +665,7 @@ def snapshot_invariants(state: SharedState) -> list[str]:
     if len(walk) >= 2 and state.head[1] != walk[1]:
         out.append(f"head second component {state.head[1]} != {walk[1]}")
     for component in state.head:
-        if component not in state.ever_in_list:
+        if not (0 <= component < n_initial or component in prepended):
             out.append(f"head references node {component} never in the list")
 
     for count_handle, count in state.prepend_counts.items():
@@ -691,7 +679,7 @@ def snapshot_invariants(state: SharedState) -> list[str]:
                 out.append(
                     f"node {h}.new={node.new} but {node.new}.old={target.old}"
                 )
-        if h not in state.ever_in_list:
+        if h >= n_initial and h not in prepended:
             if node.new != NULL:
                 out.append(f"unlisted node {h} has new={node.new}")
             if not (node.old == NULL or (

@@ -281,92 +281,68 @@ class Counterexample:
     prefix: tuple[dict, ...]
 
 
-@dataclass
-class _Op:
-    opid: int
-    pid: int
-    item: int
-    invoke_t: int
-    respond_t: Optional[int] = None
-    result: Optional[int] = None
-    inspected: int = 0
+def check_linearizable(history: ExecutionHistory):
+    """Build a linearization witness, or return a Counterexample.
 
-
-def _collect_ops(history: ExecutionHistory) -> list[_Op]:
-    ops: dict[int, _Op] = {}
-    for t, ev in enumerate(history.events):
-        if ev["type"] == "invoke":
-            ops[ev["op"]] = _Op(ev["op"], ev["pid"], ev["item"], t)
-        elif ev["type"] == "respond":
-            op = ops[ev["op"]]
-            op.respond_t = t
-            op.result = ev["result"]
-            op.inspected = ev["inspected"]
-    return list(ops.values())
-
-
-def _front_episodes(history: ExecutionHistory) -> list[tuple[int, int, Optional[int]]]:
-    """(start event index, front handle, prepending opid) per reign.
-
-    The initial front (handle 0 by construction) starts at -1 with no
+    One pass over the events records each op's invoke and response and
+    each reign of a front node: its start and the op that prepended it.
+    The initial front (handle 0 by construction) reigns from -1 with no
     prepender.  Fronts never repeat because no node is prepended twice.
     """
-    episodes: list[tuple[int, int, Optional[int]]] = [(-1, 0, None)]
+    events = history.events
+    # opid -> [pid, item, invoke index, respond index, result], invoke order
+    ops: dict[int, list] = {}
     active: dict[int, int] = {}  # pid -> opid currently running
-    for t, ev in enumerate(history.events):
-        if ev["type"] == "invoke":
+    starts = [-1]
+    preppers: list[Optional[int]] = [None]
+    by_front = {0: 0}
+    for t, ev in enumerate(events):
+        kind = ev["type"]
+        if kind == "access":
+            if ev["kind"] == "cas" and ev["ok"] and ev["cell"] == ["head"]:
+                by_front[ev["new"][0]] = len(starts)
+                starts.append(t)
+                preppers.append(active.get(ev["pid"]))
+        elif kind == "invoke":
+            ops[ev["op"]] = [ev["pid"], ev["item"], t, None, None]
             active[ev["pid"]] = ev["op"]
-        elif ev["type"] == "respond":
+        elif kind == "respond":
+            op = ops[ev["op"]]
+            op[3] = t
+            op[4] = ev["result"]
             active.pop(ev["pid"], None)
-        elif (
-            ev["type"] == "access"
-            and ev["kind"] == "cas"
-            and ev["cell"] == ["head"]
-            and ev["ok"]
-        ):
-            episodes.append((t, ev["new"][0], active.get(ev["pid"])))
-    return episodes
-
-
-def check_linearizable(history: ExecutionHistory):
-    """Build a linearization witness, or return a Counterexample."""
-    ops = _collect_ops(history)
-    episodes = _front_episodes(history)
-    starts = [e[0] for e in episodes]
-    ends = starts[1:] + [len(history.events) + 1]
-    by_front = {front: k for k, (_, front, _) in enumerate(episodes)}
-    preppers = {k: opid for k, (_, _, opid) in enumerate(episodes) if opid is not None}
+    starts.append(len(events) + 1)  # the end of the last reign
 
     placed: list[tuple[int, int, int, WitnessEntry]] = []
-    for op in ops:
-        if op.respond_t is None:
+    for opid, (pid, item, invoke_t, respond_t, result) in ops.items():
+        if respond_t is None:
             continue  # pending at the step bound: optional, excluded
-        if op.result == NOT_PRESENT:
-            if op.item in history.items:
+        if result == NOT_PRESENT:
+            if item in history.items:
                 return Counterexample(
-                    f"op {op.opid} reported absent item {op.item} which is in the set",
-                    op.opid,
-                    tuple(history.events[: op.respond_t + 1]),
+                    f"op {opid} reported absent item {item} which is in the set",
+                    opid,
+                    tuple(events[: respond_t + 1]),
                 )
-            entry = WitnessEntry(op.opid, op.pid, op.item, op.result, op.respond_t)
-            placed.append((op.respond_t, 1, op.respond_t, entry))
+            entry = WitnessEntry(opid, pid, item, result, respond_t)
+            placed.append((respond_t, 1, respond_t, entry))
             continue
-        k = by_front.get(op.result)
+        k = by_front.get(result)
         point = None
         if k is not None:
-            point = max(op.invoke_t, starts[k])
-            if not (point <= op.respond_t and point < ends[k]):
+            point = max(invoke_t, starts[k])
+            if not (point <= respond_t and point < starts[k + 1]):
                 point = None
         if point is None:
             return Counterexample(
-                f"op {op.opid} returned node {op.result}, never at the front "
+                f"op {opid} returned node {result}, never at the front "
                 "during its interval",
-                op.opid,
-                tuple(history.events[: op.respond_t + 1]),
+                opid,
+                tuple(events[: respond_t + 1]),
             )
-        mover = 0 if preppers.get(k) == op.opid else 1
-        entry = WitnessEntry(op.opid, op.pid, op.item, op.result, point)
-        placed.append((point, mover, op.respond_t, entry))
+        mover = 0 if preppers[k] == opid else 1
+        entry = WitnessEntry(opid, pid, item, result, point)
+        placed.append((point, mover, respond_t, entry))
 
     placed.sort(key=lambda x: (x[0], x[1], x[2]))
     return LinearizationWitness(tuple(e for *_rest, e in placed))
@@ -415,13 +391,16 @@ def account(history: ExecutionHistory) -> CostReport:
     witness = check_linearizable(history)
     if isinstance(witness, Counterexample):
         raise ValueError(f"history is not linearizable: {witness.reason}")
-    ops = [op for op in _collect_ops(history) if op.respond_t is not None]
-    linearized = witness.linearized_items()
     present = [w.item for w in witness.order if w.result != NOT_PRESENT]
     op_level, _ = mtf_run(present, history.items, CostModel.FULL)
-    item_level = sum(op.inspected for op in ops)
-    actual = len(history.accesses())
-    return CostReport(op_level, item_level, actual, len(ops), linearized)
+    item_level = actual = 0
+    for ev in history.events:
+        if ev["type"] == "access":
+            actual += 1
+        elif ev["type"] == "respond":
+            item_level += ev["inspected"]
+    return CostReport(op_level, item_level, actual, len(witness.order),
+                      witness.linearized_items())
 
 
 # oracle cost is linear in sequence length but factorial in list length,
@@ -544,11 +523,10 @@ def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
         if not drv.pending(pid):
             continue
         mark = drv.mark(pid)
+        n_violations = len(state.transition_violations)
         outcome = drv.step(pid)
-        if state.transition_violations:
-            report.violations.append(
-                f"schedule {drv.schedule}: {state.transition_violations[-1]}"
-            )
+        for v in state.transition_violations[n_violations:]:
+            report.violations.append(f"schedule {drv.schedule}: {v}")
         if outcome == "responded":
             # every response reached by the exploration must already
             # linearize against the path that produced it

@@ -39,9 +39,6 @@ class Merge:
 
     steps: tuple[tuple[int, int], ...]
 
-    def processes(self) -> int:
-        return max((p for p, _ in self.steps), default=0)
-
     def flatten(self, seqs: Sequence[Seq]) -> tuple[int, ...]:
         return tuple(seqs[p - 1][i - 1] for p, i in self.steps)
 
@@ -120,17 +117,16 @@ def enumerate_merges(seqs: Sequence[Seq], budget: int = 1_000_000) -> Iterator[M
     return rec()
 
 
-def make_disjoint(
-    seqs: Sequence[Seq], merge: Merge, ell: int
-) -> tuple[list[tuple[int, ...]], Merge]:
+def make_disjoint(seqs: Sequence[Seq]) -> list[tuple[int, ...]]:
     """Rename items so the sequences become pairwise disjoint.
 
     One shared item at a time: for each pair i < j sharing an item, all of
     its occurrences in sequence j are renamed to a fresh item.  Renaming is
     a per-sequence bijection, so each sequence's own distance profile is
-    unchanged, and the merge's total distance cannot decrease (renamed
-    first occurrences count ``ell``).  The merge steps are positional and
-    therefore unchanged.
+    unchanged.  It keeps every sequence's length, and a merge's steps are
+    (process, index) positions, so every merge of ``seqs`` is a merge of
+    the result, and its total distance there cannot be lower (the first
+    request to a renamed item costs the whole list length).
     """
     out = [list(s) for s in seqs]
     fresh = max((x for s in seqs for x in s), default=0) + 1
@@ -139,31 +135,21 @@ def make_disjoint(
             for item in sorted(set(out[i]) & set(out[j])):
                 out[j] = [fresh if x == item else x for x in out[j]]
                 fresh += 1
-    return [tuple(s) for s in out], merge
-
-
-@dataclass(frozen=True)
-class NextSet:
-    """First occurrences in the target sequence merged strictly between a
-    source request and its successor request to the same item."""
-
-    src_process: int
-    src_index: int
-    tgt_process: int
-    members: frozenset[int]
+    return [tuple(s) for s in out]
 
 
 def next_set(
     seqs: Sequence[Seq], merge: Merge, src: int, h: int, tgt: int
-) -> NextSet:
-    """NEXT set of source request h toward the target sequence.
+) -> frozenset[int]:
+    """NEXT set of source request h toward the target sequence: the target
+    indices of first occurrences merged strictly between the source request
+    and its successor request to the same item.
 
     Empty when the source request has no later request to the same item.
     """
-    members = _next_members(
+    return frozenset(_next_members(
         seqs[src - 1], seqs[tgt - 1], merge.index_map(src), merge.index_map(tgt), h
-    )
-    return NextSet(src, h, tgt, frozenset(members))
+    ))
 
 
 def _next_members(
@@ -203,12 +189,6 @@ class PartitionPair:
     @property
     def product_size(self) -> int:
         return sum(len(a) * len(b) for a, b in zip(self.parts_i, self.parts_j))
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for a, b in zip(self.parts_i, self.parts_j):
-            for x in a:
-                for y in b:
-                    yield (x, y)
 
 
 def build_partitions(seq_i: Seq, seq_j: Seq, merge: Merge) -> PartitionPair:

@@ -148,11 +148,11 @@ def test_criterion_04_partition_machinery():
         pair = build_partitions(s1, s2, merge)
         swapped = Merge(tuple((3 - p, i) for p, i in merge.steps))
         sum_ij = sum(
-            len(next_set((s1, s2), merge, 1, i, 2).members)
+            len(next_set((s1, s2), merge, 1, i, 2))
             for i in range(1, len(s1) + 1)
         )
         sum_ji = sum(
-            len(next_set((s2, s1), swapped, 1, j, 2).members)
+            len(next_set((s2, s1), swapped, 1, j, 2))
             for j in range(1, len(s2) + 1)
         )
         size = pair.product_size

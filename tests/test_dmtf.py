@@ -70,7 +70,7 @@ def test_solo_second_item_moves_to_front():
     assert st.list_items() == [2, 1]
     assert st.arena[result].item == 2
     assert st.arena[result].old == DONE
-    assert 1 in st.removed  # the original node for item 2
+    assert 1 not in st.walk()  # the original node for item 2
     assert st.arena[1].new == GONE
     assert snapshot_invariants(st) == []
 
@@ -116,6 +116,25 @@ def test_snapshot_detects_in_list_undone_node():
     st = init([1, 2], p=1, phi=1)
     st.arena[1].old = NULL
     assert any("in-list node 1" in v for v in snapshot_invariants(st))
+
+
+def test_snapshot_detects_head_at_never_listed_node():
+    st = init([1, 2], p=1, phi=1)
+    g = st.allocate(2)  # allocated, never prepended
+    st.head = (g, 0)
+    violations = snapshot_invariants(st)
+    assert f"head references node {g} never in the list" in violations
+
+
+def test_snapshot_detects_node_prepended_twice():
+    st = init([1, 2], p=1, phi=1)
+    g = st.allocate(2)
+    st.cas_head(1, (0, 1), (g, 0), None)
+    st.cas_head(1, (g, 0), (g, 0), None)
+    violations = snapshot_invariants(st)
+    assert f"node {g} prepended 2 times" in violations
+    # a prepended node counts as listed
+    assert not any("never in the list" in v for v in violations)
 
 
 def test_field_monotonicity_recorded_on_histories():
@@ -196,7 +215,7 @@ def test_traversal_safety_after_removal():
     # that was parked on it can continue
     st = init([1, 2, 3], p=1, phi=1)
     run_solo(st, 1, 2)
-    assert 1 in st.removed
+    assert 1 not in st.walk()
     assert st.arena[1].next == 2  # still the node that followed it
 
 

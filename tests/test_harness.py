@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from listlab import dmtf
 from listlab.dmtf import NOT_PRESENT
 from listlab.harness import (
     Counterexample,
     ExecutionHistory,
+    ExploreReport,
     LinearizationWitness,
     Schedule,
     _Driver,
@@ -178,6 +180,41 @@ def test_pending_operations_are_optional():
     witness = check_linearizable(h)
     assert isinstance(witness, LinearizationWitness)
     assert witness.order == ()
+
+
+@hst.composite
+def _runs(draw):
+    """A workload over items 1..ell+1 (so absent items occur) and an explicit
+    schedule that may stop before every search responds."""
+    p = draw(hst.integers(1, 3))
+    ell = draw(hst.integers(2, 4))
+    phi = draw(hst.integers(1, 3))
+    workload = tuple(
+        tuple(draw(hst.lists(hst.integers(1, ell + 1), max_size=3)))
+        for _ in range(p)
+    )
+    # drawn length first: a bare list strategy mostly draws a handful of
+    # steps, too few for any search to respond
+    n_steps = draw(hst.integers(0, 150))
+    pids = draw(hst.lists(hst.integers(1, p), min_size=n_steps, max_size=n_steps))
+    return p, ell, phi, workload, pids
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_runs())
+def test_any_run_linearizes_and_costs(case):
+    p, ell, phi, workload, pids = case
+    h = run(fresh(range(1, ell + 1), p, phi), workload,
+            Schedule(kind="explicit", pids=pids))
+    witness = check_linearizable(h)
+    assert isinstance(witness, LinearizationWitness), witness
+    verify_witness(h, witness)
+    report = account(h)
+    responds = [e for e in h.events if e["type"] == "respond"]
+    assert report.n_completed == len(responds) == len(witness.order)
+    assert report.item_level == sum(e["inspected"] for e in responds)
+    assert report.actual == len(h.accesses())
+    assert report.linearized == witness.linearized_items()
 
 
 # -- accounting -------------------------------------------------------------------
@@ -415,6 +452,27 @@ def test_explore_detects_injected_corruption():
     assert rep.violations
 
 
+def _illegal_tail_write():
+    # node 2 holds item 3, which the workload below never searches, so no
+    # protocol step touches its new field
+    st = fresh(items=(1, 2, 3))
+    st.cas_node(1, 2, "new", dmtf.NULL, dmtf.GONE, None)
+    return st
+
+
+def test_explore_reports_transition_violation_at_its_step_only():
+    workload = ((2,), (2,))
+    write = f"node 2.new: {dmtf.NULL} -> {dmtf.GONE}"
+    rep = ExploreReport(0, 0, 0)
+    for _ in explore_all(_illegal_tail_write, workload, 200, rep):
+        pass
+    assert rep.histories > 0
+    assert not any(write in v for v in rep.violations)
+    rep = explore_check(_illegal_tail_write, workload)
+    assert len(rep.violations) == rep.histories
+    assert all(v.endswith(write) for v in rep.violations)
+
+
 def test_explore_finds_stale_helper_relink():
     """A helper parked before the next-field CAS can re-link a node that was
     removed from the tail in the meantime (the field returned to null, so
@@ -466,8 +524,6 @@ def _state_snapshot(st):
     return (
         st.to_json(),
         list(st.prepend_counts.items()),
-        set(st.ever_in_list),
-        set(st.removed),
         list(st.transition_violations),
     )
 
@@ -510,15 +566,14 @@ def test_undo_journal_restores_every_field(factory, workload):
                 assert _driver_snapshot(drv) == before
         # the protocol's own steps made no illegal transition on 500 random
         # schedules of each workload here, injected corruption included, so
-        # one is forced: its violation entry and (on a next field) its
-        # removal must be undone too
+        # one is forced: its violation entry must be undone too
         handle = rng.randrange(len(st.arena))
         fieldname = rng.choice(["next", "prev", "old", "new"])
         prior = getattr(st.arena[handle], fieldname)
         n_journal = len(st.journal)
         st.cas_node(1, handle, fieldname, prior,
                     dmtf.DONE if fieldname == "new" else dmtf.GONE, None)
-        assert len(st.transition_violations) == len(before[4]) + 1
+        assert len(st.transition_violations) == len(before[2]) + 1
         st.rollback(n_journal)
         assert _driver_snapshot(drv) == before
         st.rollback(0)

@@ -86,20 +86,18 @@ def test_merge_json_round_trip():
 
 def test_make_disjoint_identity_when_disjoint():
     seqs = [(1, 2), (3,)]
-    merge = Merge.concatenation(seqs)
-    out, merge2 = make_disjoint(seqs, merge, ell=3)
+    out = make_disjoint(seqs)
     assert out == [(1, 2), (3,)]
-    assert merge2 == merge
 
 
 def test_make_disjoint_hand_example():
     seqs = [(1,), (1,)]
     merge = Merge.concatenation(seqs)
-    out, merge2 = make_disjoint(seqs, merge, ell=2)
+    out = make_disjoint(seqs)
     assert out[0] == (1,)
     assert out[1] != (1,) and len(out[1]) == 1
     assert distance(merge.flatten(seqs), 2).total == 3
-    assert distance(merge2.flatten(out), 2).total == 4
+    assert distance(merge.flatten(out), 2).total == 4
 
 
 def test_make_disjoint_properties_random():
@@ -120,12 +118,12 @@ def test_make_disjoint_properties_random():
             cursors[i] += 1
             steps.append((i + 1, cursors[i]))
         merge = Merge(tuple(steps))
-        out, merge2 = make_disjoint(seqs, merge, ell)
+        out = make_disjoint(seqs)
         assert not (set(out[0]) & set(out[1]))
         for before, after in zip(seqs, out):
             assert distance(before, ell) == distance(after, ell)
         assert (
-            distance(merge2.flatten(out), ell).total
+            distance(merge.flatten(out), ell).total
             >= distance(merge.flatten(seqs), ell).total
         )
 
@@ -137,18 +135,18 @@ def test_next_set_hand_examples():
     # I=[a,a], J=[b], merge a b a
     seqs = [(1, 1), (2,)]
     merge = Merge(((1, 1), (2, 1), (1, 2)))
-    assert next_set(seqs, merge, 1, 1, 2).members == frozenset({1})
+    assert next_set(seqs, merge, 1, 1, 2) == frozenset({1})
 
     # I=[a,a], J=[b,b], merge a b b a: second b is not a first occurrence
     seqs = [(1, 1), (2, 2)]
     merge = Merge(((1, 1), (2, 1), (2, 2), (1, 2)))
-    assert next_set(seqs, merge, 1, 1, 2).members == frozenset({1})
+    assert next_set(seqs, merge, 1, 1, 2) == frozenset({1})
 
 
 def test_next_set_no_successor_is_empty():
     seqs = [(1,), (2,)]
     merge = Merge(((1, 1), (2, 1)))
-    assert next_set(seqs, merge, 1, 1, 2).members == frozenset()
+    assert next_set(seqs, merge, 1, 1, 2) == frozenset()
 
 
 # -- partitions ------------------------------------------------------------------
@@ -203,11 +201,11 @@ def test_partition_cardinality_bounds_random():
         (si, sj), merge = random_disjoint_instance(rng)
         pair = build_partitions(si, sj, merge)
         sum_ij = sum(
-            len(next_set((si, sj), merge, 1, i, 2).members)
+            len(next_set((si, sj), merge, 1, i, 2))
             for i in range(1, len(si) + 1)
         )
         sum_ji = sum(
-            len(next_set((sj, si), swap_processes(merge), 1, j, 2).members)
+            len(next_set((sj, si), swap_processes(merge), 1, j, 2))
             for j in range(1, len(sj) + 1)
         )
         size = pair.product_size
@@ -245,7 +243,7 @@ def test_injective_bound_counterexample():
     assert merge.flatten((s1, s2)) == (1, 2, 1, 3, 2, 1, 3, 2)
     pair = build_partitions(s1, s2, merge)
     sum_ij = sum(
-        len(next_set((s1, s2), merge, 1, i, 2).members)
+        len(next_set((s1, s2), merge, 1, i, 2))
         for i in range(1, len(s1) + 1)
     )
     assert pair.parts_i == ((1, 2), (3, 4), (5,), (6,))
@@ -255,7 +253,7 @@ def test_injective_bound_counterexample():
     assert sum_ij <= pair.product_size
     ell = 4
     sum_ji = sum(
-        len(next_set((s2, s1), swap_processes(merge), 1, j, 2).members)
+        len(next_set((s2, s1), swap_processes(merge), 1, j, 2))
         for j in range(1, len(s2) + 1)
     )
     assert sum_ij + sum_ji <= 2 * pair.product_size + ell * ell
@@ -311,8 +309,8 @@ def test_check_c_best_random_disjoint():
 
 def test_check_c_best_on_lower_bound_instance():
     inst = build_lower_bound_instance(2, 4, 2, 2)
-    seqs, merge_lo = make_disjoint(inst.seqs, inst.merge_lo, inst.ell)
-    slack, ok = check_c_best(seqs, merge_lo, inst.ell)
+    seqs = make_disjoint(inst.seqs)
+    slack, ok = check_c_best(seqs, inst.merge_lo, inst.ell)
     assert ok
 
 
@@ -399,7 +397,7 @@ def test_end_to_end_merge_bound():
         merges = list(enumerate_merges(seqs))
         m1 = rng.choice(merges)
         m2 = rng.choice(merges)
-        renamed, _ = make_disjoint(seqs, m1, ell)
+        renamed = make_disjoint(seqs)
         d1 = distance(m1.flatten(seqs), ell).total
         d2 = distance(m2.flatten(seqs), ell).total
         overhead = distance(m2.flatten(renamed), ell).total - d2
