@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +41,50 @@ class _BadInput(Exception):
     """Input a command cannot run on; ``main`` prints it as one line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1), like every other."""
+
+    def error(self, message):
+        raise _BadInput(message)
+
+
+class _Int:
+    """argparse type: an integer, no smaller than ``low`` if one is given."""
+
+    def __init__(self, low: Optional[int] = None):
+        self.low = low
+
+    def __call__(self, text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if self.low is not None and value < self.low:
+            raise argparse.ArgumentTypeError(f"must be >= {self.low}, got {value}")
+        return value
+
+
+def _hex(text: str) -> str:
+    """argparse type of --tape: hex-encoded coin bits."""
+    try:
+        bytes.fromhex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not hex: {text!r}") from None
+    return text
+
+
+def _schedule(text: str) -> Schedule:
+    """argparse type of --schedule: a JSON pid array or schedule object,
+    whose values ``Schedule.validate`` checks against the workload."""
+    try:
+        data = json.loads(text)
+        if isinstance(data, (list, dict)):
+            return Schedule.from_json(data)
+    except (TypeError, ValueError) as exc:  # bad JSON or a malformed merge
+        raise argparse.ArgumentTypeError(f"cannot read {text!r}: {exc}") from None
+    raise argparse.ArgumentTypeError("must be a JSON pid array or schedule object")
+
+
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text())
@@ -55,46 +100,6 @@ def _positive_ints(value, what: str) -> list[int]:
     return value
 
 
-_SCHEDULE_KINDS = ("explicit", "round_robin", "random", "sequential")
-
-
-def _parse_schedule(spec: str, workload: list[tuple[int, ...]]) -> Schedule:
-    """The --schedule value, with every pid checked against 1..p."""
-    try:
-        data = json.loads(spec)
-    except ValueError as exc:
-        raise _BadInput(f"--schedule is not JSON: {exc}") from None
-    if isinstance(data, list):
-        data = {"kind": "explicit", "pids": data}
-    if not isinstance(data, dict) or data.get("kind") not in _SCHEDULE_KINDS:
-        raise _BadInput(
-            "--schedule must be a pid array or an object whose kind is one of "
-            + ", ".join(_SCHEDULE_KINDS)
-        )
-    p = len(workload)
-    pids = data.get("pids")
-    if pids is not None and not (
-        isinstance(pids, list) and all(type(x) is int and 1 <= x <= p for x in pids)
-    ):
-        raise _BadInput(f"schedule pids must be integers from 1 to {p}")
-    if data.get("seed") is not None and type(data["seed"]) is not int:
-        raise _BadInput("schedule seed must be an integer")
-    try:
-        schedule = Schedule.from_json(data)
-        if schedule.merge is not None:
-            schedule.merge.validate(workload)
-    except (TypeError, ValueError) as exc:
-        raise _BadInput(f"schedule merge: {exc}") from None
-    return schedule
-
-
-def _init_state(items: list[int], p: int, phi: int) -> dmtf.SharedState:
-    try:
-        return dmtf.init(items, p, phi)
-    except ValueError as exc:  # too few items, p < 1 or phi < 1
-        raise _BadInput(str(exc)) from None
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
@@ -104,7 +109,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _config_header(args: argparse.Namespace, keys: list[str]) -> str:
     resolved = {k: getattr(args, k) for k in keys}
-    return "# config " + json.dumps(resolved, sort_keys=True)
+    return "# config " + json.dumps(resolved, sort_keys=True, default=Schedule.to_json)
 
 
 def _frac(x) -> str:
@@ -113,8 +118,6 @@ def _frac(x) -> str:
 
 def cmd_distance(args) -> int:
     seq = _positive_ints(_read_json(args.sequence, "sequence"), "sequence")
-    if args.ell < 1:
-        raise _BadInput("--ell must be >= 1")
     prof = distance(seq, args.ell)
     lines = [_config_header(args, ["sequence", "ell"])]
     if args.format == "json":
@@ -166,17 +169,17 @@ def cmd_dmtf(args) -> int:
         tuple(_positive_ints(w, f"the requests of process {pid}"))
         for pid, w in enumerate(raw, start=1)
     ]
-    schedule = _parse_schedule(args.schedule, workload)
+    schedule = args.schedule
+    try:
+        schedule.validate(workload)
+    except ValueError as exc:
+        raise _BadInput(f"--schedule: {exc}") from None
     if schedule.kind == "random" and schedule.seed is None:
         schedule.seed = args.seed
-    if args.budget < 1:
-        raise _BadInput("--budget must be >= 1")
-    state = _init_state(list(range(1, args.ell + 1)), len(workload), args.phi)
+    state = dmtf.init(list(range(1, args.ell + 1)), len(workload), args.phi)
     history = run(state, workload, schedule, step_bound=args.budget)
 
-    header = _config_header(
-        args, ["workload", "schedule", "ell", "phi", "seed", "budget"]
-    )
+    header = _config_header(args, ["workload", "schedule", "ell", "phi", "seed", "budget"])
     _emit(header + "\n" + history.to_jsonl(), args.out)
 
     verdict = check_linearizable(history)
@@ -211,13 +214,6 @@ def cmd_dmtf(args) -> int:
 
 def cmd_explore(args) -> int:
     items = list(range(1, args.ell + 1))
-    _init_state(items, args.p, args.phi)  # the factory's checks, up front
-    if args.item is not None and args.item < 1:
-        raise _BadInput("--item must be >= 1")
-    if args.budget < 1:
-        raise _BadInput("--budget must be >= 1")
-    if args.requests < 0:
-        raise _BadInput("--requests must be >= 0")
     target = args.item if args.item is not None else args.ell
     workload = tuple((target,) * args.requests for _ in range(args.p))
 
@@ -229,11 +225,8 @@ def cmd_explore(args) -> int:
 
     report = explore_check(factory, workload, step_bound=args.budget)
     lines = [
-        _config_header(
-            args,
-            ["p", "ell", "phi", "requests", "item", "budget",
-             "inject_corruption"],
-        ),
+        _config_header(args, ["p", "ell", "phi", "requests", "item", "budget",
+                              "inject_corruption"]),
         "states,histories,bound_hits,violations",
         f"{report.states},{report.histories},{report.bound_hits},"
         f"{len(report.violations)}",
@@ -244,9 +237,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_findvalue(args) -> int:
-    header = _config_header(args, ["mode", "n", "seed", "tapes", "tape"])
-    lines = [header]
-    ok = False
+    lines = [_config_header(args, ["mode", "n", "seed", "tapes", "tape"])]
     if args.mode == "deterministic":
         reads, opt = findvalue.run_deterministic(list(range(args.n)))
         lines.append("inputs,reads,opt_reads,ratio")
@@ -269,86 +260,106 @@ def cmd_findvalue(args) -> int:
         tape = findvalue.CoinTape.from_hex(args.tape) if args.tape else (
             findvalue.CoinTape.from_seed(args.seed, 4 * args.n)
         )
+        if len(tape.bits) < 4 * args.n:
+            raise _BadInput(f"--tape has {len(tape.bits)} bits; "
+                            f"--n {args.n} needs {4 * args.n}")
         reads = findvalue.run_randomized(list(range(args.n)), tape=tape)
         lines.append("inputs,reads")
         lines.append(f"{args.n},{reads}")
         ok = True
-    elif args.mode == "adversary":
+    else:  # adversary
+        maps = list(product((1, 2), (0, 2), (0, 1)))
+        forced = [findvalue.lower_bound_adversary(f) for f in maps]
         lines.append("f0,f1,f2,forced_reads")
-        forced = []
-        for f0 in (1, 2):
-            for f1 in (0, 2):
-                for f2 in (0, 1):
-                    r = findvalue.lower_bound_adversary((f0, f1, f2))
-                    forced.append(r)
-                    lines.append(f"{f0},{f1},{f2},{r}")
+        lines.extend(f"{f0},{f1},{f2},{r}" for (f0, f1, f2), r in zip(maps, forced))
         lines.append(f"min,,,{min(forced)}")
         ok = min(forced) == 3
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Give --config values priority over defaults but not explicit flags."""
-    if not getattr(args, "config", None):
-        return
-    config = _read_json(args.config, "config")
+def _with_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with the --config file's values put ahead of the command's own
+    arguments, to be parsed like them; argparse keeps the last value a flag
+    is given, so an explicit flag wins in any syntax.
+
+    Keys are flag destinations (``inject_corruption``); other keys are
+    ignored.  A switch takes true or false, an integer flag a JSON integer,
+    and any other flag a string as its text or a value as its JSON text.
+    """
+    locate = _Parser(add_help=False)
+    locate.add_argument("command", nargs="?")
+    locate.add_argument("--config")
+    found, _ = locate.parse_known_args(argv)
+    commands = parser._subparsers._group_actions[0].choices
+    if found.config is None or found.command not in commands:
+        return argv
+    config = _read_json(found.config, "config")
     if not isinstance(config, dict):
         raise _BadInput("config must be a JSON object")
+    given = []
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
-        if hasattr(args, key) and flag not in argv:
-            setattr(args, key, value)
+        action = commands[found.command]._option_string_actions.get(flag)
+        if action is None or action.dest in ("help", "config"):
+            continue
+        if action.nargs == 0:
+            if type(value) is not bool:
+                raise _BadInput(f"config {key} must be true or false")
+            given += [flag] * value
+        elif isinstance(value, str) and not isinstance(action.type, _Int):
+            given.append(f"{flag}={value}")
+        else:
+            given.append(f"{flag}={json.dumps(value)}")
+    at = argv.index(found.command) + 1
+    return argv[:at] + given + argv[at:]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="listlab",
-        description="distributed list accessing laboratory",
-    )
+    parser = _Parser(prog="listlab", description="distributed list accessing laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_Int(), default=0)
 
     p = sub.add_parser("distance", help="distance profile of a sequence")
     common(p)
     p.add_argument("sequence", help="JSON file with an array of item ids")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_Int(1), required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("merge-ratio", help="average-distance ratio ladder")
     common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--p", type=_Int(2), required=True)
+    p.add_argument("--ell", type=_Int(1), required=True)
+    p.add_argument("--r", type=_Int(1), required=True)
+    p.add_argument("--s", type=_Int(1), required=True)
     p.set_defaults(func=cmd_merge_ratio)
 
     p = sub.add_parser("dmtf", help="run a workload under a schedule")
     common(p)
     p.add_argument("--workload", required=True,
                    help="JSON file: one request array per process")
-    p.add_argument("--schedule", default='{"kind": "round_robin"}',
+    p.add_argument("--schedule", type=_schedule, default='{"kind": "round_robin"}',
                    help="JSON schedule spec or pid array")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--phi", type=int, default=1)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--ell", type=_Int(2), required=True)
+    p.add_argument("--phi", type=_Int(1), default=1)
+    p.add_argument("--budget", type=_Int(1), default=1_000_000)
     p.add_argument("--costs", help="cost report path")
     p.set_defaults(func=cmd_dmtf)
 
     p = sub.add_parser("explore", help="exhaustive schedule exploration")
     common(p)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--phi", type=int, default=1)
-    p.add_argument("--requests", type=int, default=1)
-    p.add_argument("--item", type=int, default=None,
+    p.add_argument("--p", type=_Int(1), default=2)
+    p.add_argument("--ell", type=_Int(2), default=2)
+    p.add_argument("--phi", type=_Int(1), default=1)
+    p.add_argument("--requests", type=_Int(0), default=1)
+    p.add_argument("--item", type=_Int(1), default=None,
                    help="requested item (default: the rear item)")
-    p.add_argument("--budget", type=int, default=400)
+    p.add_argument("--budget", type=_Int(1), default=400)
     p.add_argument("--inject-corruption", action="store_true",
                    help="corrupt a node field to exercise the checkers")
     p.set_defaults(func=cmd_explore)
@@ -357,20 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", required=True,
                    choices=["deterministic", "exact", "mc", "tape", "adversary"])
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--tapes", type=int, default=1_000_000)
-    p.add_argument("--tape", help="hex-encoded coin bits for tape mode")
+    p.add_argument("--n", type=_Int(1), default=1)
+    p.add_argument("--tapes", type=_Int(1), default=1_000_000)
+    p.add_argument("--tape", type=_hex, help="hex-encoded coin bits for tape mode")
     p.set_defaults(func=cmd_findvalue)
 
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
     try:
-        _apply_config(args, list(argv))
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -234,14 +234,13 @@ class SharedState:
 
     # -- introspection ---------------------------------------------------------
 
-    def walk(self, limit: Optional[int] = None) -> list[int]:
+    def walk(self) -> list[int]:
         """Handles currently in the list, front first (quiescent states)."""
         out = []
         seen = set()
         h = self.head[0]
-        bound = limit if limit is not None else 2 * len(self.arena) + 2
         while h != NULL:
-            if h in seen or len(out) > bound:
+            if h in seen:
                 raise RuntimeError("list walk does not terminate")
             seen.add(h)
             out.append(h)

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 
 OPT_READS_PER_INPUT = 2
 _NEIGHBOUR_FIRST = (1, 2, 0)  # each process reads its clockwise neighbour first
+_SETTLE_ROUNDS = 50  # an input settles within a handful of rounds
 
 
 class InsufficientTape(Exception):
@@ -75,17 +76,16 @@ class CoinTape:
 class AdversaryPolicy:
     """Who receives each input.
 
-    ``forcing`` picks the worst target for the processes' first-read map
-    (the read-forcing case analysis); ``fixed`` always picks ``target``;
-    ``adaptive`` may inspect all state and coin outcomes so far and picks
-    the worst target (ties resolved to the lowest id).
+    ``fixed`` always picks ``target``; ``adaptive`` may inspect all state
+    and coin outcomes so far, but every target costs the same (see
+    ``_target``), so it rotates: input k goes to process k % 3.
     """
 
     kind: str = "adaptive"
     target: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("forcing", "fixed", "adaptive"):
+        if self.kind not in ("fixed", "adaptive"):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if not 0 <= self.target <= 2:
             raise ValueError("target must be a process id 0..2")
@@ -165,8 +165,8 @@ class _Engine:
             self.regs[pid] = value
         self.round += 1
 
-    def settle(self, limit: int = 50):
-        for _ in range(limit):
+    def settle(self):
+        for _ in range(_SETTLE_ROUNDS):
             if self.quiescent():
                 return
             self.tick()
@@ -177,11 +177,7 @@ def _target(policy: AdversaryPolicy, k: int) -> int:
     """Who receives input ``k``.  Every target costs the same for a protocol
     that restarts from a symmetric quiescent state, so the adaptive
     adversary breaks the tie by rotating."""
-    if policy.kind == "fixed":
-        return policy.target
-    if policy.kind == "adaptive":
-        return k % 3
-    return _forcing_target(_NEIGHBOUR_FIRST)
+    return policy.target if policy.kind == "fixed" else k % 3
 
 
 def _play(inputs: Sequence[int], policy: AdversaryPolicy,
@@ -223,28 +219,18 @@ def registers_after_deterministic(inputs: Sequence[int],
     return list(engine.regs)
 
 
-def _forcing_target(f: Sequence[int]) -> int:
-    """The input target that forces extra reads for first-read map f."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if f[i] == f[j]:
-                k = f[i]
-                # give the input to whichever of i, j the register owner
-                # does not read first
-                return j if f[k] == i else i
-    # all first-read targets distinct: catch a reader out with its neighbour
-    return 2
-
-
 def lower_bound_adversary(first_reads: Sequence[int]) -> int:
     """Reads forced on one input for a first-read map with the canonical
     continuation (read the named register on notification, then the other
-    register one round later on a miss)."""
+    register one round later on a miss): the most any target costs."""
     f = list(first_reads)
     if len(f) != 3 or any(f[i] == i or not 0 <= f[i] <= 2 for i in range(3)):
         raise ValueError("first-read map must name another process per process")
-    policy = AdversaryPolicy("fixed", _forcing_target(f))
-    return _play([1], policy, lambda t: _deterministic_first_reads(t, f))[1]
+    return max(
+        _play([1], AdversaryPolicy("fixed", target),
+              lambda t: _deterministic_first_reads(t, f))[1]
+        for target in range(3)
+    )
 
 
 def _randomized_first_reads(target: int, bits: Sequence[int]
@@ -258,17 +244,12 @@ def _randomized_first_reads(target: int, bits: Sequence[int]
     }
 
 
-def _randomized_one_input_reads(target: int, bits: tuple[int, int, int, int]) -> int:
-    """Reads for one input to ``target`` under the randomized protocol with
-    fixed coins."""
-    policy = AdversaryPolicy("fixed", target)
-    return _play([1], policy, lambda t: _randomized_first_reads(t, bits))[1]
-
-
 def _reads_table(target: int) -> dict[tuple[int, ...], int]:
-    """Reads for one input to ``target``, for each of the 16 coin outcomes."""
+    """Reads for one input to ``target`` under the randomized protocol, for
+    each of the 16 coin outcomes."""
+    policy = AdversaryPolicy("fixed", target)
     return {
-        bits: _randomized_one_input_reads(target, bits)
+        bits: _play([1], policy, lambda t: _randomized_first_reads(t, bits))[1]
         for bits in product((0, 1), repeat=4)
     }
 

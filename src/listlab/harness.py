@@ -65,13 +65,26 @@ class Schedule:
     @staticmethod
     def from_json(data) -> "Schedule":
         if isinstance(data, list):
-            return Schedule(kind="explicit", pids=[int(x) for x in data])
-        return Schedule(
-            kind=data["kind"],
-            pids=data.get("pids"),
-            seed=data.get("seed"),
-            merge=Merge.from_json(data["merge"]) if "merge" in data else None,
-        )
+            return Schedule(kind="explicit", pids=data)
+        merge = Merge.from_json(data["merge"]) if "merge" in data else None
+        return Schedule(data.get("kind"), data.get("pids"), data.get("seed"), merge)
+
+    def validate(self, workload: Workload) -> None:
+        """Raise ValueError unless this schedule can drive ``workload``: a
+        known kind, pids that are integers from 1 to p, an integer seed or
+        none, and a merge of the workload's sequences."""
+        if self.kind not in ("explicit", "round_robin", "random", "sequential"):
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        p = len(workload)
+        if self.pids is not None and not (
+            isinstance(self.pids, (list, tuple))
+            and all(type(x) is int and 1 <= x <= p for x in self.pids)
+        ):
+            raise ValueError(f"schedule pids must be integers from 1 to {p}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ValueError("schedule seed must be an integer")
+        if self.merge is not None:
+            self.merge.validate(workload)
 
 
 @dataclass
@@ -210,11 +223,7 @@ class _Driver:
 
 
 def _pids(schedule: Schedule, drv: _Driver) -> Iterator[int]:
-    """The pid to step next, one per step, for each schedule kind.
-
-    A plain function that returns an iterator, not a generator, so that an
-    unknown kind is rejected before the first step.
-    """
+    """The pid to step next, one per step, for each (validated) kind."""
     pids = range(1, drv.state.p + 1)
     if schedule.kind == "explicit":
         return iter(schedule.pids or [])
@@ -224,9 +233,7 @@ def _pids(schedule: Schedule, drv: _Driver) -> Iterator[int]:
         rng = random.Random(schedule.seed)
         # the callable never returns the sentinel None, so this never ends
         return iter(lambda: rng.choice([q for q in pids if drv.pending(q)]), None)
-    if schedule.kind == "sequential":
-        return _sequential_pids(schedule.merge or Merge.concatenation(drv.workload), drv)
-    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
+    return _sequential_pids(schedule.merge or Merge.concatenation(drv.workload), drv)
 
 
 def _sequential_pids(merge: Merge, drv: _Driver) -> Iterator[int]:
@@ -243,8 +250,13 @@ def run(
     schedule: Schedule,
     step_bound: int = 1_000_000,
 ) -> ExecutionHistory:
-    """Drive the interpreter to completion, or for ``step_bound`` steps."""
+    """Drive the interpreter to completion, or for ``step_bound`` steps.
+
+    Raises ValueError before the first step if the schedule is not valid
+    for the workload (see ``Schedule.validate``).
+    """
     drv = _Driver(state, workload)
+    schedule.validate(drv.workload)
     pids = _pids(schedule, drv)
     while not drv.all_done() and len(drv.schedule) < step_bound:
         pid = next(pids, None)
@@ -349,26 +361,24 @@ def check_linearizable(history: ExecutionHistory):
 
 
 def verify_witness(history: ExecutionHistory, witness: LinearizationWitness) -> None:
-    """Replay the witness against sequential move-to-front semantics.
+    """Check the witness against sequential move-to-front semantics.
 
-    Checks that every returned node contains the requested item, and that
-    serving the witness order under MTF keeps the item set intact.  Raises
-    AssertionError on mismatch.
+    Move-to-front only reorders the item set, so each entry's item must be
+    in the set exactly when it reports a node, and every returned node must
+    hold the requested item.  Raises AssertionError on mismatch.
     """
-    order = list(history.items)
+    items = set(history.items)
     handle_items = {}
     for ev in history.events:
         if ev["type"] == "access" and ev["cell"][0] == "node" and ev["cell"][2] == "item":
             handle_items[ev["cell"][1]] = ev["value"]
     for entry in witness.order:
         if entry.result == NOT_PRESENT:
-            assert entry.item not in order
+            assert entry.item not in items
             continue
-        assert entry.item in order
+        assert entry.item in items
         known = handle_items.get(entry.result)
         assert known is None or known == entry.item
-        order.remove(entry.item)
-        order.insert(0, entry.item)
 
 
 # -- cost accounting -------------------------------------------------------------
@@ -551,7 +561,9 @@ def explore_check(
     """Run the exploration and check every terminal history.
 
     Each terminating schedule must leave a state passing all snapshot
-    invariants and produce a linearizable history.
+    invariants and produce a linearizable history.  A history that does not
+    linearize was already reported by the exploration at its last response,
+    so only its witness, when there is one, is checked here.
     """
     report = ExploreReport(0, 0, 0)
     for history in explore_all(state_factory, workload, step_bound, report):
@@ -564,11 +576,7 @@ def explore_check(
         for v in dmtf.snapshot_invariants(state):
             report.violations.append(f"schedule {history.schedule}: {v}")
         witness = check_linearizable(history)
-        if isinstance(witness, Counterexample):
-            report.violations.append(
-                f"schedule {history.schedule}: {witness.reason}"
-            )
-        else:
+        if isinstance(witness, LinearizationWitness):
             try:
                 verify_witness(history, witness)
             except AssertionError as exc:

@@ -1,6 +1,13 @@
 """End-to-end tests for the command suite."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as hst
 
 from listlab.cli import main
 
@@ -241,3 +248,170 @@ def test_config_file_rejects_unreadable(tmp_path, capsys):
     cfg.write_text("[1]")
     for path in (cfg, tmp_path / "missing.json"):
         _rejected(["findvalue", "--mode", "exact", "--config", str(path)], capsys)
+
+
+def test_argparse_errors_exit_1_with_one_line(capsys):
+    for argv in ([], ["bogus"], ["explore", "--ell", "abc"],
+                 ["explore", "--bogus"], ["findvalue"],
+                 ["findvalue", "--mode", "bogus"]):
+        _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["merge-ratio", "--p", "1", "--ell", "8", "--r", "1", "--s", "1"],
+    ["merge-ratio", "--p", "0", "--ell", "8", "--r", "1", "--s", "1"],
+    ["merge-ratio", "--p", "2", "--ell", "8", "--r", "0", "--s", "1"],
+    ["merge-ratio", "--p", "2", "--ell", "-4", "--r", "1", "--s", "1"],
+    ["findvalue", "--mode", "exact", "--n", "0"],
+    ["findvalue", "--mode", "mc", "--tapes", "0"],
+    ["findvalue", "--mode", "deterministic", "--n", "-1"],
+    ["findvalue", "--mode", "tape", "--tape", "zz"],
+    ["findvalue", "--mode", "tape", "--n", "3", "--tape", "00"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_out_of_range_values_rejected(argv, capsys):
+    _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("config", ['{"ell": "3"}', '{"budget": 2.5}',
+                                    '{"p": true}', '{"requests": null}',
+                                    '{"inject_corruption": 1}'])
+def test_config_values_are_typed(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    _rejected(["explore", "--config", str(cfg)], capsys)
+
+
+def test_explicit_flags_win_over_config_in_any_syntax(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 5, "mode": "exact", "no_such_flag": [1]}')
+    for flag in (["--n=2"], ["--n", "2"], ["--n=2", "--mode=deterministic"]):
+        assert main(["findvalue", "--mode", "deterministic", "--config",
+                     str(cfg)] + flag) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2,6,4,3/2"
+    # every value is parsed, also one that the command line overrides
+    cfg.write_text('{"n": 0}')
+    _rejected(["findvalue", "--mode", "deterministic", "--config", str(cfg),
+               "--n", "2"], capsys)
+
+
+def test_config_never_replaces_a_positional(tmp_path, capsys):
+    seq, other, cfg = (tmp_path / n for n in ("seq.json", "other.json", "cfg.json"))
+    seq.write_text("[1, 1]")
+    other.write_text("[2, 2, 2]")
+    cfg.write_text(json.dumps({"sequence": str(other), "ell": 5}))
+    assert main(["distance", str(seq), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total,6"
+
+
+def test_config_schedule_object_matches_command_line(tmp_path):
+    wl = tmp_path / "wl.json"
+    wl.write_text("[[2, 1], [1, 2]]")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"schedule": {"kind": "random", "seed": 3}}')
+    base = ["dmtf", "--workload", str(wl), "--ell", "3"]
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    assert main(base + ["--config", str(cfg), "--out", str(a)]) == 0
+    assert main(base + ["--schedule", '{"kind": "random", "seed": 3}',
+                        "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+# -- any argv: a documented exit code, never a traceback ---------------------------
+
+# the integers each command's flags accept, kept small so that every run is quick
+_INT_FLAGS = {
+    "distance": {"ell": (1, 3), "seed": (-2, 2)},
+    "merge-ratio": {"p": (2, 2), "ell": (1, 3), "r": (1, 2), "s": (1, 2)},
+    "dmtf": {"ell": (2, 3), "phi": (1, 2), "budget": (1, 100), "seed": (-2, 2)},
+    "explore": {"p": (1, 2), "ell": (2, 3), "phi": (1, 2), "requests": (0, 1),
+                "item": (1, 4), "budget": (1, 400)},
+    "findvalue": {"n": (1, 3), "tapes": (1, 300), "seed": (-2, 2)},
+}
+_TEXT_FLAGS = {
+    "distance": {"format": ["csv", "json", "xml"]},
+    "dmtf": {"schedule": ['{"kind": "round_robin"}', '{"kind": "random"}',
+                          '{"kind": "sequential"}', "[1, 2, 1, 2]", "[3]",
+                          '{"kind": "bogus"}', "not json",
+                          '{"kind": "sequential", "merge": [[1, 1]]}']},
+    "explore": {"inject_corruption": [True, False]},
+    "findvalue": {"mode": ["deterministic", "exact", "mc", "tape", "adversary",
+                           "bogus"],
+                  "tape": ["", "00", "00ff00", "zz", "0"]},
+}
+# given in every case: the required flags, and --tapes, without which mc mode
+# would sample its default million tapes
+_ALWAYS_GIVEN = {"ell", "p", "r", "s", "mode", "tapes"}
+# never an integer on the command line; never a JSON integer in a config file
+_MISTYPED_TEXT = ["abc", "2.5", "true", "", "0x3"]
+_MISTYPED_JSON = [2.5, True, None, [1]]
+
+
+@hst.composite
+def _argvs(draw):
+    """A command whose flags are each absent or given a value, on the
+    command line or in a config file.  Every integer is valid, except in
+    about half the cases one flag's, which is out of range or mistyped.
+    Returns (argv without the files, config, whether a value is bad)."""
+    command = draw(hst.sampled_from(sorted(_INT_FLAGS)))
+    ints = _INT_FLAGS[command]
+    bad_flag = draw(hst.one_of(hst.none(), hst.sampled_from(sorted(ints))))
+    argv, config = [command], {}
+    flags = [(name, "int", bounds) for name, bounds in ints.items()]
+    flags += [(name, "text", values)
+              for name, values in _TEXT_FLAGS.get(command, {}).items()]
+    for name, kind, spec in flags:
+        present = name in _ALWAYS_GIVEN or name == bad_flag or draw(hst.booleans())
+        if not present:
+            continue
+        in_config = draw(hst.booleans())
+        if kind == "text":
+            value = draw(hst.sampled_from(spec))
+        elif name != bad_flag:
+            value = draw(hst.integers(*spec))
+        elif name != "seed" and draw(hst.booleans()):  # --seed has no bound
+            value = draw(hst.integers(spec[0] - 3, spec[0] - 1))
+        elif in_config:  # a numeral string is the text of a valid integer
+            value = draw(hst.one_of(hst.integers(*spec).map(str),
+                                    hst.sampled_from(_MISTYPED_JSON)))
+        else:
+            value = draw(hst.sampled_from(_MISTYPED_TEXT))
+        if in_config:
+            if name == "schedule" and value.startswith(("[", "{")):
+                value = json.loads(value)
+            config[name] = value
+            continue
+        flag = "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            text = value if isinstance(value, str) else json.dumps(value)
+            argv += draw(hst.sampled_from([[flag, text], [f"{flag}={text}"]]))
+    return argv, config, bad_flag is not None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argvs())
+def test_any_argv_exits_with_a_documented_code(case):
+    argv, config, bad = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if argv[0] == "distance":
+            (tmp / "seq.json").write_text("[1, 2, 1]")
+            argv = argv + [str(tmp / "seq.json")]
+        elif argv[0] == "dmtf":
+            (tmp / "wl.json").write_text("[[2], [1, 2]]")
+            argv = argv + ["--workload", str(tmp / "wl.json")]
+        if config:
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp / "cfg.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3, 4, 5)
+    errors = [l for l in err.getvalue().splitlines() if l.startswith("error:")]
+    if code == 1:
+        assert err.getvalue().count("\n") == 1 and len(errors) == 1
+    else:
+        assert not errors
+    if bad:
+        assert code == 1, (argv, config)

@@ -103,6 +103,21 @@ def test_run_rejects_unknown_schedule_kind():
         run(fresh(), ((), ()), Schedule(kind="bogus"))
 
 
+@pytest.mark.parametrize("workload, schedule", [
+    (((2,), (2,)), Schedule(kind="explicit", pids=[0])),
+    (((2,), (2,)), Schedule(kind="explicit", pids=[3])),
+    (((2,), (2,)), Schedule(kind="explicit", pids=[1.5])),
+    (((2, 1), (2,)),
+     Schedule(kind="sequential", merge=Merge(((1, 2), (2, 1), (1, 1))))),
+], ids=["pid-0", "pid-3", "pid-1.5", "merge-out-of-order"])
+def test_run_rejects_invalid_schedule_before_any_step(workload, schedule):
+    st = fresh()
+    with pytest.raises(ValueError):
+        run(st, workload, schedule)
+    assert st.to_json() == fresh().to_json()
+    assert not st.prepend_counts and not st.transition_violations
+
+
 def test_noop_steps_for_idle_process():
     st = fresh(p=2)
     h = run(st, ((1,), ()), Schedule(kind="explicit", pids=[2, 2, 1] + [1] * 10))
@@ -430,6 +445,20 @@ def test_explore_single_process_one_schedule():
     rep = explore_check(lambda: fresh(p=1), ((2,),), step_bound=100)
     assert rep.histories == 1
     assert rep.violations == []
+
+
+def test_explore_reports_a_nonlinearizable_history_once():
+    # a leftover announcement makes the search return node 1 (the rear
+    # node, holding item 2), which is never at the front while it runs
+    def factory():
+        st = dmtf.init([1, 2], p=1)
+        st.ann[0] = (1, dmtf.BOTTOM)
+        return st
+
+    rep = explore_check(factory, ((2,),))
+    assert rep.histories == 1
+    assert len(rep.violations) == 1
+    assert rep.violations[0].endswith("never at the front during its interval")
 
 
 def test_explore_same_rear_item_clean_and_stable():
