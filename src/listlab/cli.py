@@ -102,7 +102,10 @@ def _positive_ints(value, what: str) -> list[int]:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _BadInput(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -359,6 +359,11 @@ class ProcessRun:
         return tuple(self.__dict__.values())
 
 
+# the ProcessRun fields that hold a node handle (or a sentinel); every other
+# field holds a pid, an item, a program counter or a count
+RUN_HANDLE_FIELDS = ("g", "h", "h1", "h2", "hp", "gp", "a", "pred", "succ", "result")
+
+
 def step(state: SharedState, run: ProcessRun, rec: Optional[Recorder] = None) -> bool:
     """Execute one machine step of ``run``; returns True when it responds."""
     if run.done:

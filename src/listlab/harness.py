@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -140,7 +140,9 @@ class _Driver:
         self.runs: list[Optional[ProcessRun]] = [None] * state.p
         self.cursors = [0] * state.p
         self.opids = [0] * state.p
-        self.next_opid = 0
+        # (pid, index in that pid's sequence) of each op, in invoke order;
+        # op k allocated handle ell + k at its invoke
+        self.owners: list[tuple[int, int]] = []
         self.events: list[dict] = []
         self.schedule: list[int] = []
 
@@ -163,8 +165,8 @@ class _Driver:
             if self.cursors[i] >= len(self.workload[i]):
                 return "noop"
             item = self.workload[i][self.cursors[i]]
-            opid = self.next_opid
-            self.next_opid += 1
+            opid = len(self.owners)
+            self.owners.append((pid, self.cursors[i]))
             self.opids[i] = opid
             self.events.append(
                 {"type": "invoke", "pid": pid, "op": opid, "item": item}
@@ -199,14 +201,15 @@ class _Driver:
         run = self.runs[i]
         if run is not None:
             self.runs[i] = run.copy()
-        return (run, self.cursors[i], self.opids[i], self.next_opid,
+        return (run, self.cursors[i], self.opids[i], len(self.owners),
                 len(self.state.journal), len(self.events), len(self.schedule))
 
     def undo(self, pid: int, mark: tuple) -> None:
         i = pid - 1
-        (self.runs[i], self.cursors[i], self.opids[i], self.next_opid,
+        (self.runs[i], self.cursors[i], self.opids[i], n_ops,
          n_journal, n_events, n_steps) = mark
         self.state.rollback(n_journal)
+        del self.owners[n_ops:]
         del self.events[n_events:]
         del self.schedule[n_steps:]
 
@@ -293,15 +296,13 @@ class Counterexample:
     prefix: tuple[dict, ...]
 
 
-def check_linearizable(history: ExecutionHistory):
-    """Build a linearization witness, or return a Counterexample.
+def _scan(events: list[dict]) -> tuple:
+    """One pass over the events: each op's invoke and response and each
+    reign of a front node, its start and the op that prepended it.
 
-    One pass over the events records each op's invoke and response and
-    each reign of a front node: its start and the op that prepended it.
     The initial front (handle 0 by construction) reigns from -1 with no
     prepender.  Fronts never repeat because no node is prepended twice.
     """
-    events = history.events
     # opid -> [pid, item, invoke index, respond index, result], invoke order
     ops: dict[int, list] = {}
     active: dict[int, int] = {}  # pid -> opid currently running
@@ -324,38 +325,51 @@ def check_linearizable(history: ExecutionHistory):
             op[4] = ev["result"]
             active.pop(ev["pid"], None)
     starts.append(len(events) + 1)  # the end of the last reign
+    return ops, starts, preppers, by_front
 
-    placed: list[tuple[int, int, int, WitnessEntry]] = []
-    for opid, (pid, item, invoke_t, respond_t, result) in ops.items():
-        if respond_t is None:
-            continue  # pending at the step bound: optional, excluded
-        if result == NOT_PRESENT:
-            if item in history.items:
-                return Counterexample(
-                    f"op {opid} reported absent item {item} which is in the set",
-                    opid,
-                    tuple(events[: respond_t + 1]),
-                )
-            entry = WitnessEntry(opid, pid, item, result, respond_t)
-            placed.append((respond_t, 1, respond_t, entry))
-            continue
-        k = by_front.get(result)
-        point = None
-        if k is not None:
-            point = max(invoke_t, starts[k])
-            if not (point <= respond_t and point < starts[k + 1]):
-                point = None
-        if point is None:
+
+def _place(history: ExecutionHistory, opid: int, scan: tuple):
+    """Place one responded op: (point, mover rank, respond index, entry), or
+    a Counterexample.  Each op is placed on its own, so an op fails or not
+    regardless of the others."""
+    ops, starts, preppers, by_front = scan
+    pid, item, invoke_t, respond_t, result = ops[opid]
+    if result == NOT_PRESENT:
+        if item in history.items:
             return Counterexample(
-                f"op {opid} returned node {result}, never at the front "
-                "during its interval",
+                f"op {opid} reported absent item {item} which is in the set",
                 opid,
-                tuple(events[: respond_t + 1]),
+                tuple(history.events[: respond_t + 1]),
             )
-        mover = 0 if preppers[k] == opid else 1
-        entry = WitnessEntry(opid, pid, item, result, point)
-        placed.append((point, mover, respond_t, entry))
+        return (respond_t, 1, respond_t, WitnessEntry(opid, pid, item, result, respond_t))
+    k = by_front.get(result)
+    if k is not None:
+        point = max(invoke_t, starts[k])
+        if point <= respond_t and point < starts[k + 1]:
+            mover = 0 if preppers[k] == opid else 1
+            return (point, mover, respond_t, WitnessEntry(opid, pid, item, result, point))
+    return Counterexample(
+        f"op {opid} returned node {result}, never at the front during its interval",
+        opid,
+        tuple(history.events[: respond_t + 1]),
+    )
 
+
+def check_linearizable(history: ExecutionHistory):
+    """Build a linearization witness, or the Counterexample of the first
+    failing op in invoke order.
+
+    Ops pending at the step bound are optional and left out.
+    """
+    scan = _scan(history.events)
+    placed = []
+    for opid, op in scan[0].items():
+        if op[3] is None:
+            continue
+        got = _place(history, opid, scan)
+        if isinstance(got, Counterexample):
+            return got
+        placed.append(got)
     placed.sort(key=lambda x: (x[0], x[1], x[2]))
     return LinearizationWitness(tuple(e for *_rest, e in placed))
 
@@ -483,12 +497,45 @@ class ExploreReport:
     violations: list[str] = field(default_factory=list)
 
 
+# positions of the handle-valued fields in ProcessRun.canonical()
+_RUN_HANDLE_SLOTS = tuple(i for i, f in enumerate(fields(ProcessRun))
+                          if f.name in dmtf.RUN_HANDLE_FIELDS)
+
+
 def _canon(drv: _Driver) -> tuple:
-    return (
-        drv.state.canonical(),
-        tuple(r.canonical() if r else None for r in drv.runs),
-        tuple(drv.cursors),
+    """The state key, independent of the order in which handles were allocated.
+
+    Op k allocated handle ell + k, and its owner (pid, index in that pid's
+    sequence) does not depend on the interleaving.  Each allocated handle is
+    renamed ell + (rank of its owner among the allocated ops) in every cell
+    that holds a handle, and the arena is listed in the new order.  Pids are
+    not permuted: the helpers read the announcements in pid order.
+    """
+    state, owners = drv.state, drv.owners
+    runs = tuple(r.canonical() if r else None for r in drv.runs)
+    if all(a < b for a, b in zip(owners, owners[1:])):
+        return state.canonical(), runs, tuple(drv.cursors)  # already in rank order
+    ell = len(state.items)
+    order = sorted(range(len(owners)), key=owners.__getitem__)
+    name = {ell + k: ell + rank for rank, k in enumerate(order)}
+    get = name.get  # sentinels, None and the initial nodes keep their value
+    arena = state.arena
+    nodes = tuple(
+        (n.item, get(n.next, n.next), get(n.prev, n.prev), get(n.old, n.old),
+         get(n.new, n.new))
+        for n in itertools.chain(arena[:ell], (arena[ell + k] for k in order))
     )
+    head = tuple(get(x, x) for x in state.head)
+    ann = tuple((get(a, a), b) for a, b in state.ann)
+    renamed = []
+    for r in runs:
+        if r is not None:
+            r = list(r)
+            for i in _RUN_HANDLE_SLOTS:
+                r[i] = get(r[i], r[i])
+            r = tuple(r)
+        renamed.append(r)
+    return (nodes, head, ann), tuple(renamed), tuple(drv.cursors)
 
 
 def explore_all(
@@ -539,8 +586,11 @@ def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
             report.violations.append(f"schedule {drv.schedule}: {v}")
         if outcome == "responded":
             # every response reached by the exploration must already
-            # linearize against the path that produced it
-            verdict = check_linearizable(drv.history())
+            # linearize against the path that produced it; each op is
+            # judged once, here, so an earlier failure neither repeats nor
+            # masks this one
+            history = drv.history()
+            verdict = _place(history, drv.opids[pid - 1], _scan(history.events))
             if isinstance(verdict, Counterexample):
                 report.violations.append(
                     f"schedule {drv.schedule}: {verdict.reason}"
@@ -561,9 +611,9 @@ def explore_check(
     """Run the exploration and check every terminal history.
 
     Each terminating schedule must leave a state passing all snapshot
-    invariants and produce a linearizable history.  A history that does not
-    linearize was already reported by the exploration at its last response,
-    so only its witness, when there is one, is checked here.
+    invariants and produce a linearizable history.  Each op that does not
+    linearize was already reported by the exploration at its own response,
+    so only the witness, when there is one, is checked here.
     """
     report = ExploreReport(0, 0, 0)
     for history in explore_all(state_factory, workload, step_bound, report):

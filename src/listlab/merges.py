@@ -77,7 +77,12 @@ class Merge:
 
     @staticmethod
     def from_json(data: Sequence[Sequence[int]]) -> "Merge":
-        return Merge(tuple((int(p), int(i)) for p, i in data))
+        """Read ``[[pid, index], ...]``; raises ValueError unless every entry
+        is a pair of integers (floats, bools and numeral strings are not)."""
+        steps = tuple((p, i) for p, i in data)
+        if not all(type(p) is int and type(i) is int for p, i in steps):
+            raise ValueError("merge entries must be [pid, index] integer pairs")
+        return Merge(steps)
 
 
 def merge_count(lengths: Sequence[int]) -> int:

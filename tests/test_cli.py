@@ -212,6 +212,32 @@ def test_dmtf_rejects_bad_schedule_pids(tmp_path, capsys):
                         "--out", str(tmp_path / "h.ndjson")]) == 0
 
 
+def test_dmtf_rejects_merge_entries_that_are_not_integers(tmp_path, capsys):
+    # each spec would pass the schedule check if its entries were truncated
+    # to [[1, 1], [1, 2], [2, 1], [2, 2]], a valid merge of this workload
+    wl = tmp_path / "wl.json"
+    wl.write_text("[[2, 1], [1, 2]]")
+    base = ["dmtf", "--workload", str(wl), "--ell", "3",
+            "--out", str(tmp_path / "h.ndjson")]
+    for merge in ("[[1.7, 1], [true, 2], [\"2\", 1], [2, 2.9]]",
+                  "[[1.0, 1], [1, 2], [2, 1], [2, 2]]",
+                  "[[true, 1], [1, 2], [2, 1], [2, 2]]",
+                  "[[1, \"1\"], [1, 2], [2, 1], [2, 2]]"):
+        spec = f'{{"kind": "sequential", "merge": {merge}}}'
+        _rejected(base + ["--schedule", spec], capsys)
+    spec = '{"kind": "sequential", "merge": [[1, 1], [1, 2], [2, 1], [2, 2]]}'
+    assert main(base + ["--schedule", spec]) == 0
+
+
+def test_unwritable_output_paths_are_bad_input(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "x")
+    _rejected(["findvalue", "--mode", "exact", "--out", missing], capsys)
+    wl = tmp_path / "wl.json"
+    wl.write_text("[[2], [2]]")
+    _rejected(["dmtf", "--workload", str(wl), "--ell", "2",
+               "--out", str(tmp_path / "h.ndjson"), "--costs", missing], capsys)
+
+
 def test_dmtf_rejects_bad_workload_and_bounds(tmp_path, capsys):
     wl = tmp_path / "wl.json"
     for text in ("[[2], [0]]", "[2, 1]", "[]", "[[2], [1.5]]"):

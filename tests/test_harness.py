@@ -2,6 +2,8 @@
 
 import gc
 import random
+import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from listlab.harness import (
     LinearizationWitness,
     Schedule,
     _Driver,
+    _canon,
     account,
     check_linearizable,
     explore_all,
@@ -448,24 +451,28 @@ def test_explore_single_process_one_schedule():
 
 
 def test_explore_reports_a_nonlinearizable_history_once():
-    # a leftover announcement makes the search return node 1 (the rear
-    # node, holding item 2), which is never at the front while it runs
+    # a leftover announcement makes op 0 return node 1 (the rear node,
+    # holding item 2), which is never at the front while it runs; op 1's
+    # later response must not report op 0 again
     def factory():
         st = dmtf.init([1, 2], p=1)
         st.ann[0] = (1, dmtf.BOTTOM)
         return st
 
-    rep = explore_check(factory, ((2,),))
-    assert rep.histories == 1
-    assert len(rep.violations) == 1
-    assert rep.violations[0].endswith("never at the front during its interval")
+    for workload in (((2,),), ((2, 1),)):
+        rep = explore_check(factory, workload)
+        assert rep.histories == 1
+        assert rep.violations == [
+            f"schedule {[1] * 7}: op 0 returned node 1, never at the front "
+            "during its interval"
+        ]
 
 
 def test_explore_same_rear_item_clean_and_stable():
     rep1 = explore_check(lambda: fresh(), ((2,), (2,)), step_bound=200)
     assert rep1.violations == []
     assert rep1.bound_hits == 0
-    assert rep1.states == 5445  # determinism regression, frozen on first run
+    assert rep1.states == 2757  # determinism regression (5,445 under the raw-index key)
     rep2 = explore_check(lambda: fresh(), ((2,), (2,)), step_bound=200)
     assert (rep2.states, rep2.histories) == (rep1.states, rep1.histories)
 
@@ -519,8 +526,8 @@ def test_explore_finds_stale_helper_relink():
 def test_explore_histories_replay_check():
     # histories are collected first: each must keep its own events and
     # schedule while the explorer steps and undoes its one driver
-    for workload, count in ((((2,), (2,)), 4), (((1,), (2,)), 6),
-                            (((2, 1), (2,)), 15)):
+    for workload, count in ((((2,), (2,)), 4), (((1,), (2,)), 3),
+                            (((2, 1), (2,)), 9)):
         histories = list(explore_all(lambda: fresh(), workload, step_bound=200))
         assert len(histories) == count
         for h in histories:
@@ -530,13 +537,96 @@ def test_explore_histories_replay_check():
 
 
 @pytest.mark.parametrize("workload, expected", [
-    (((1,), (2,)), (4264, 6, 0, 2)),
-    (((2,), (1,)), (4510, 6, 0, 2)),
-    (((2, 1), (2,)), (25719, 15, 0, 7)),
+    (((1,), (2,)), (2151, 3, 0, 1)),
+    (((2,), (1,)), (2274, 3, 0, 1)),
+    (((2, 1), (2,)), (11947, 9, 0, 4)),
 ], ids=["1-2", "2-1", "21-2"])
 def test_explore_counts_pinned(workload, expected):
     rep = explore_check(lambda: fresh(), workload, step_bound=200)
     assert (rep.states, rep.histories, rep.bound_hits, len(rep.violations)) == expected
+
+
+def _outcome(state, history):
+    """A terminal outcome: the final list and the kinds of its snapshot
+    violations (handles blanked out), with op-level and item-level cost."""
+    try:
+        final = tuple(state.list_items())
+    except RuntimeError:
+        final = None
+    kinds = frozenset(re.sub(r"-?\d+", "#", v) for v in dmtf.snapshot_invariants(state))
+    report = account(history)
+    return final, kinds, report.op_level, report.item_level
+
+
+def _raw_key(drv):
+    return (drv.state.canonical(),
+            tuple(r.canonical() if r else None for r in drv.runs),
+            tuple(drv.cursors))
+
+
+def _raw_index_outcomes(workload):
+    """Terminal outcomes of a depth-first search that keys each state on raw
+    arena indices: the explorer's key before handles were renamed, kept as
+    the reference for the renamed one."""
+    drv = _Driver(fresh(), workload)
+    drv.state.journal = []
+    seen = {_raw_key(drv)}
+    out = set()
+
+    def visit():
+        if drv.all_done():
+            out.add(_outcome(drv.state, drv.history()))
+            return
+        for pid in range(1, drv.state.p + 1):
+            if drv.pending(pid):
+                mark = drv.mark(pid)
+                drv.step(pid)
+                key = _raw_key(drv)
+                if key not in seen:
+                    seen.add(key)
+                    visit()
+                drv.undo(pid, mark)
+
+    visit()
+    return out
+
+
+@pytest.mark.parametrize("workload", [
+    ((2,), (2,)), ((1,), (2,)), ((2,), (1,)), ((2, 1), (2,)), ((2,), (2, 1)),
+    ((1, 2), (2, 1)), ((1,), (1,)),
+], ids=["2-2", "1-2", "2-1", "21-2", "2-21", "12-21", "1-1"])
+def test_explore_renamed_key_keeps_every_terminal_outcome(workload):
+    rep = ExploreReport(0, 0, 0)
+    renamed = set()
+    for history in explore_all(lambda: fresh(), workload, 200, rep):
+        st = fresh()
+        run(st, workload, Schedule(kind="explicit", pids=history.schedule))
+        renamed.add(_outcome(st, history))
+    assert rep.bound_hits == 0
+    assert renamed == _raw_index_outcomes(workload)
+
+
+def test_explore_key_ignores_allocation_order():
+    # both processes invoke and announce, in opposite orders: the same ops
+    # hold swapped handles, which the key renames by (pid, op index)
+    keys, raw = set(), set()
+    for schedule in ([1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 2, 1]):
+        drv = _Driver(fresh(), ((2,), (2,)))
+        for pid in schedule:
+            drv.step(pid)
+        keys.add(_canon(drv))
+        raw.add(_raw_key(drv))
+    assert len(keys) == 1
+    assert len(raw) == 2
+
+
+def test_every_run_field_is_classified_for_renaming():
+    # the explorer's key renames the fields in RUN_HANDLE_FIELDS; a new
+    # ProcessRun field must be added to that list or to this one
+    not_handles = {"pid", "item", "pc", "b", "c", "eprime", "j", "inspected"}
+    handles = set(dmtf.RUN_HANDLE_FIELDS)
+    assert not handles & not_handles
+    assert handles | not_handles == {f.name for f in fields(dmtf.ProcessRun)}
 
 
 def test_explore_leaves_no_cyclic_garbage():
@@ -562,7 +652,7 @@ def _driver_snapshot(drv):
         [r.canonical() if r else None for r in drv.runs],
         list(drv.cursors),
         list(drv.opids),
-        drv.next_opid,
+        list(drv.owners),
         list(drv.events),
         list(drv.schedule),
     )
