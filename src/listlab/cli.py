@@ -100,14 +100,35 @@ def _positive_ints(value, what: str) -> list[int]:
     return value
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise _BadInput(f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str, Optional[str]]) -> None:
+    """Write each ``(text, path)``; a path of None means stdout.
+
+    Every path is opened before any text is written, so an unwritable path
+    leaves no output behind: a file opened here is removed again if it did
+    not exist, and an existing file is not truncated.
+    """
+    files, created = [], []
+    try:
+        for _, out in outputs:
+            if out:
+                existed = Path(out).exists()
+                files.append(open(out, "a"))
+                if not existed:
+                    created.append(out)
+    except OSError as exc:
+        for f in files:
+            f.close()
+        for path in created:
+            Path(path).unlink()
+        raise _BadInput(f"cannot write {out}: {exc}") from None
+    files = iter(files)
+    for text, out in outputs:
+        if out:
+            with next(files) as f:
+                f.truncate(0)
+                f.write(text)
+        else:
+            sys.stdout.write(text)
 
 
 def _config_header(args: argparse.Namespace, keys: list[str]) -> str:
@@ -131,7 +152,7 @@ def cmd_distance(args) -> int:
         lines.append("index,distance")
         lines.extend(f"{j},{d}" for j, d in enumerate(prof.per_index, start=1))
         lines.append(f"total,{prof.total}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n", args.out))
     return EXIT_OK
 
 
@@ -158,7 +179,7 @@ def cmd_merge_ratio(args) -> int:
             f"{x},{x},{_frac(hi)},{_frac(lo)},{_frac(ratio)},"
             f"{_frac(limit)},{_frac(limit - ratio)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n", args.out))
     monotone = all(a < b for a, b in zip(ratios, ratios[1:]))
     below = all(r < limit for r in ratios)
     return EXIT_OK if monotone and below else EXIT_CHECK_FAILED
@@ -183,8 +204,6 @@ def cmd_dmtf(args) -> int:
     history = run(state, workload, schedule, step_bound=args.budget)
 
     header = _config_header(args, ["workload", "schedule", "ell", "phi", "seed", "budget"])
-    _emit(header + "\n" + history.to_jsonl(), args.out)
-
     verdict = check_linearizable(history)
     linearizable = not isinstance(verdict, Counterexample)
     violations = dmtf.snapshot_invariants(state) if history.completed else []
@@ -195,7 +214,8 @@ def cmd_dmtf(args) -> int:
     else:
         cost_lines.append(f",,{len(history.accesses())},,false")
     costs_path = args.costs or (args.out + ".costs.csv" if args.out else None)
-    _emit("\n".join(cost_lines) + "\n", costs_path)
+    _emit((header + "\n" + history.to_jsonl(), args.out),
+          ("\n".join(cost_lines) + "\n", costs_path))
 
     if not linearizable:
         print(f"not linearizable: {verdict.reason}", file=sys.stderr)
@@ -235,7 +255,7 @@ def cmd_explore(args) -> int:
         f"{len(report.violations)}",
     ]
     lines.extend(f"# violation {v}" for v in report.violations[:20])
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n", args.out))
     return EXIT_OK if not report.violations else EXIT_INVARIANT_VIOLATION
 
 
@@ -277,7 +297,7 @@ def cmd_findvalue(args) -> int:
         lines.extend(f"{f0},{f1},{f2},{r}" for (f0, f1, f2), r in zip(maps, forced))
         lines.append(f"min,,,{min(forced)}")
         ok = min(forced) == 3
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n", args.out))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

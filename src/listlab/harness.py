@@ -512,9 +512,6 @@ def _canon(drv: _Driver) -> tuple:
     not permuted: the helpers read the announcements in pid order.
     """
     state, owners = drv.state, drv.owners
-    runs = tuple(r.canonical() if r else None for r in drv.runs)
-    if all(a < b for a, b in zip(owners, owners[1:])):
-        return state.canonical(), runs, tuple(drv.cursors)  # already in rank order
     ell = len(state.items)
     order = sorted(range(len(owners)), key=owners.__getitem__)
     name = {ell + k: ell + rank for rank, k in enumerate(order)}
@@ -528,9 +525,9 @@ def _canon(drv: _Driver) -> tuple:
     head = tuple(get(x, x) for x in state.head)
     ann = tuple((get(a, a), b) for a, b in state.ann)
     renamed = []
-    for r in runs:
+    for r in drv.runs:
         if r is not None:
-            r = list(r)
+            r = list(r.canonical())
             for i in _RUN_HANDLE_SLOTS:
                 r[i] = get(r[i], r[i])
             r = tuple(r)

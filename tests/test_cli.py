@@ -234,8 +234,21 @@ def test_unwritable_output_paths_are_bad_input(tmp_path, capsys):
     _rejected(["findvalue", "--mode", "exact", "--out", missing], capsys)
     wl = tmp_path / "wl.json"
     wl.write_text("[[2], [2]]")
-    _rejected(["dmtf", "--workload", str(wl), "--ell", "2",
-               "--out", str(tmp_path / "h.ndjson"), "--costs", missing], capsys)
+    dmtf = ["dmtf", "--workload", str(wl), "--ell", "2"]
+    # no output is written when either path cannot be: a new --out file is
+    # not left behind, an existing one keeps its bytes, stdout stays empty
+    out = tmp_path / "h.ndjson"
+    _rejected(dmtf + ["--out", str(out), "--costs", missing], capsys)
+    assert not out.exists()
+    out.write_text("earlier run\n")
+    _rejected(dmtf + ["--out", str(out), "--costs", missing], capsys)
+    assert out.read_text() == "earlier run\n"
+    assert main(dmtf + ["--costs", missing]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    costs = tmp_path / "c.csv"
+    _rejected(dmtf + ["--out", missing, "--costs", str(costs)], capsys)
+    assert not costs.exists()
 
 
 def test_dmtf_rejects_bad_workload_and_bounds(tmp_path, capsys):
