@@ -512,27 +512,36 @@ def _canon(drv: _Driver) -> tuple:
     not permuted: the helpers read the announcements in pid order.
     """
     state, owners = drv.state, drv.owners
-    ell = len(state.items)
-    order = sorted(range(len(owners)), key=owners.__getitem__)
-    name = {ell + k: ell + rank for rank, k in enumerate(order)}
-    get = name.get  # sentinels, None and the initial nodes keep their value
-    arena = state.arena
+    key = (state.canonical(),
+           tuple(r.canonical() if r else None for r in drv.runs),
+           tuple(drv.cursors))
+    if all(a < b for a, b in zip(owners, owners[1:])):
+        return key  # the renaming is the identity
+    return _rename(key, len(state.items),
+                   sorted(range(len(owners)), key=owners.__getitem__))
+
+
+def _rename(key: tuple, ell: int, order: list[int]) -> tuple:
+    """``key`` with handle ell + order[rank] renamed ell + rank throughout."""
+    (nodes, head, ann), runs, cursors = key
+    get = {ell + k: ell + rank for rank, k in enumerate(order)}.get
+    # sentinels, None and the initial nodes keep their value
     nodes = tuple(
-        (n.item, get(n.next, n.next), get(n.prev, n.prev), get(n.old, n.old),
-         get(n.new, n.new))
-        for n in itertools.chain(arena[:ell], (arena[ell + k] for k in order))
+        (item, get(nxt, nxt), get(prev, prev), get(old, old), get(new, new))
+        for item, nxt, prev, old, new in itertools.chain(
+            nodes[:ell], (nodes[ell + k] for k in order))
     )
-    head = tuple(get(x, x) for x in state.head)
-    ann = tuple((get(a, a), b) for a, b in state.ann)
+    head = tuple(get(x, x) for x in head)
+    ann = tuple((get(a, a), b) for a, b in ann)
     renamed = []
-    for r in drv.runs:
+    for r in runs:
         if r is not None:
-            r = list(r.canonical())
+            r = list(r)
             for i in _RUN_HANDLE_SLOTS:
                 r[i] = get(r[i], r[i])
             r = tuple(r)
         renamed.append(r)
-    return (nodes, head, ann), tuple(renamed), tuple(drv.cursors)
+    return (nodes, head, ann), tuple(renamed), cursors
 
 
 def explore_all(

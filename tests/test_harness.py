@@ -19,6 +19,7 @@ from listlab.harness import (
     Schedule,
     _Driver,
     _canon,
+    _rename,
     account,
     check_linearizable,
     explore_all,
@@ -560,10 +561,10 @@ def _raw_key(drv):
             tuple(drv.cursors))
 
 
-def _raw_index_outcomes(workload):
+def _raw_index_outcomes(workload, on_state=lambda drv: None):
     """Terminal outcomes of a depth-first search that keys each state on raw
     arena indices: the explorer's key before handles were renamed, kept as
-    the reference for the renamed one."""
+    the reference for the renamed one.  ``on_state`` sees each new state."""
     drv = _Driver(fresh(), workload)
     drv.state.journal = []
     seen = {_raw_key(drv)}
@@ -580,6 +581,7 @@ def _raw_index_outcomes(workload):
                 key = _raw_key(drv)
                 if key not in seen:
                     seen.add(key)
+                    on_state(drv)
                     visit()
                 drv.undo(pid, mark)
 
@@ -614,6 +616,20 @@ def test_explore_key_ignores_allocation_order():
         raw.add(_raw_key(drv))
     assert len(keys) == 1
     assert len(raw) == 2
+
+
+def test_unrenamed_key_is_the_renamed_key_when_owners_are_in_rank_order():
+    # _canon skips the renaming when it is the identity; on every state of
+    # this search the key it returns is the one the renaming builds
+    identity = []
+
+    def check(drv):
+        order = sorted(range(len(drv.owners)), key=drv.owners.__getitem__)
+        assert _canon(drv) == _rename(_raw_key(drv), 2, order)
+        identity.append(order == sorted(order))
+
+    _raw_index_outcomes(((2, 1), (2,)), check)
+    assert any(identity) and not all(identity)
 
 
 def test_every_run_field_is_classified_for_renaming():
