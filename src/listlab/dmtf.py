@@ -43,8 +43,10 @@ _SENTINEL_NAMES = {NULL: "null", DONE: "done", GONE: "gone"}
 
 Recorder = Callable[[dict], None]
 
-# kinds of undo-journal entries, one per kind of shared write
-_ALLOC, _HEAD, _ANN, _NODE = "alloc", "head", "ann", "node"
+# kinds of undo-journal entries, one per kind of shared write; the
+# explorer's state key reads them to find the cells a step wrote
+JOURNAL_ALLOC, JOURNAL_HEAD, JOURNAL_ANN, JOURNAL_NODE = (
+    "alloc", "head", "ann", "node")
 
 
 class Node:
@@ -123,7 +125,7 @@ class SharedState:
             self.arena.append(node)
             handle = len(self.arena) - 1
             if self.journal is not None:
-                self.journal.append((_ALLOC,))
+                self.journal.append((JOURNAL_ALLOC,))
         return handle
 
     def node(self, handle: int) -> Node:
@@ -147,7 +149,8 @@ class SharedState:
             if ok:
                 g = new[0]
                 if self.journal is not None:
-                    self.journal.append((_HEAD, prior, g, self.prepend_counts.get(g, 0)))
+                    self.journal.append((JOURNAL_HEAD, prior, g,
+                                         self.prepend_counts.get(g, 0)))
                 self.head = new
                 self.prepend_counts[g] = self.prepend_counts.get(g, 0) + 1
         if rec:
@@ -169,7 +172,7 @@ class SharedState:
             ok = prior == expected
             if ok:
                 if self.journal is not None:
-                    self.journal.append((_ANN, j - 1, prior))
+                    self.journal.append((JOURNAL_ANN, j - 1, prior))
                 self.ann[j - 1] = new
         if rec:
             rec({"type": "access", "pid": pid, "kind": "cas", "cell": ["ann", j],
@@ -193,7 +196,7 @@ class SharedState:
             ok = prior == expected
             if ok:
                 if self.journal is not None:
-                    self.journal.append((_NODE, node, fieldname, prior,
+                    self.journal.append((JOURNAL_NODE, handle, fieldname, prior,
                                          len(self.transition_violations)))
                 if not _legal_transition(fieldname, prior, new):
                     self.transition_violations.append(
@@ -216,13 +219,13 @@ class SharedState:
         while len(journal) > mark:
             entry = journal.pop()
             kind = entry[0]
-            if kind == _NODE:
-                _, node, fieldname, prior, n_violations = entry
-                setattr(node, fieldname, prior)
+            if kind == JOURNAL_NODE:
+                _, handle, fieldname, prior, n_violations = entry
+                setattr(self.arena[handle], fieldname, prior)
                 del self.transition_violations[n_violations:]
-            elif kind == _ANN:
+            elif kind == JOURNAL_ANN:
                 self.ann[entry[1]] = entry[2]
-            elif kind == _HEAD:
+            elif kind == JOURNAL_HEAD:
                 _, prior, g, count = entry
                 self.head = prior
                 if count:
@@ -319,6 +322,17 @@ MTF_REMOVE1 = "mtf_remove1"
 MTF_REMOVE2 = "mtf_remove2"
 MTF_GONE = "mtf_gone"
 MTF_DONE = "mtf_done"
+
+# every program counter; the explorer's state key stores a pc as its index here
+PROGRAM_COUNTERS = (
+    ALLOC, ANNOUNCE, GETHEAD, KATFRONT, UNANN_FRONT1, UNANN_FRONT2, KFOUND,
+    READANN1, UNANN_OTHER1, SETGOLD, SETHNEW, SETGPRIME, READANN2,
+    UNANN_POSTMTF, READANN3, UNANN_OTHER2, NEXTPTR, READANN4, UNANN_END,
+    MTF_OUTER, MTF_GETHEAD, MTF_GETOLD, MTF_PREPCHECK, MTF_TRYPREPEND,
+    MTF_SETNEXT, MTF_SETPREV, MTF_H1ITEM, MTF_READANN, MTF_INFORMCHECK,
+    MTF_INFORM, MTF_GETPREV, MTF_GETNEXT, MTF_REMOVE1, MTF_REMOVE2, MTF_GONE,
+    MTF_DONE,
+)
 
 
 @dataclass

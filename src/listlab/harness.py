@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import struct
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -140,9 +141,13 @@ class _Driver:
         self.runs: list[Optional[ProcessRun]] = [None] * state.p
         self.cursors = [0] * state.p
         self.opids = [0] * state.p
-        # (pid, index in that pid's sequence) of each op, in invoke order;
-        # op k allocated handle ell + k at its invoke
-        self.owners: list[tuple[int, int]] = []
+        # the fixed name of each handle: an initial node keeps its index, and
+        # the node op k allocated at its invoke (handle ell + k) is named by
+        # its owner, ell + (requests of the lower pids) + (its index in its
+        # pid's sequence), whatever the interleaving
+        self.names = list(range(len(state.arena)))
+        self.offsets = list(itertools.accumulate(
+            map(len, self.workload[:-1]), initial=len(state.arena)))
         self.events: list[dict] = []
         self.schedule: list[int] = []
 
@@ -165,8 +170,8 @@ class _Driver:
             if self.cursors[i] >= len(self.workload[i]):
                 return "noop"
             item = self.workload[i][self.cursors[i]]
-            opid = len(self.owners)
-            self.owners.append((pid, self.cursors[i]))
+            opid = len(self.names) - len(self.state.items)
+            self.names.append(self.offsets[i] + self.cursors[i])
             self.opids[i] = opid
             self.events.append(
                 {"type": "invoke", "pid": pid, "op": opid, "item": item}
@@ -201,15 +206,15 @@ class _Driver:
         run = self.runs[i]
         if run is not None:
             self.runs[i] = run.copy()
-        return (run, self.cursors[i], self.opids[i], len(self.owners),
+        return (run, self.cursors[i], self.opids[i], len(self.names),
                 len(self.state.journal), len(self.events), len(self.schedule))
 
     def undo(self, pid: int, mark: tuple) -> None:
         i = pid - 1
-        (self.runs[i], self.cursors[i], self.opids[i], n_ops,
+        (self.runs[i], self.cursors[i], self.opids[i], n_names,
          n_journal, n_events, n_steps) = mark
         self.state.rollback(n_journal)
-        del self.owners[n_ops:]
+        del self.names[n_names:]
         del self.events[n_events:]
         del self.schedule[n_steps:]
 
@@ -497,51 +502,137 @@ class ExploreReport:
     violations: list[str] = field(default_factory=list)
 
 
-# positions of the handle-valued fields in ProcessRun.canonical()
-_RUN_HANDLE_SLOTS = tuple(i for i, f in enumerate(fields(ProcessRun))
-                          if f.name in dmtf.RUN_HANDLE_FIELDS)
+# A value v is stored as v + _OFFSET, past the sentinels (NOT_PRESENT is the
+# lowest), and 0 stands for None: no run in flight, or no result yet.
+_OFFSET = 1 - NOT_PRESENT
+_NODE_SLOTS = {"next": 0, "prev": 1, "old": 2, "new": 3}
+_PC_CODES = {pc: i + _OFFSET for i, pc in enumerate(dmtf.PROGRAM_COUNTERS)}
+# how the key stores each ProcessRun field, in declaration order (the order
+# of a run's __dict__): a handle under its fixed name, a program counter by
+# its index, any other value as it is
+_HANDLE, _PC, _VALUE = range(3)
+_RUN_KINDS = tuple(
+    _HANDLE if f.name in dmtf.RUN_HANDLE_FIELDS else _PC if f.name == "pc" else _VALUE
+    for f in fields(ProcessRun)
+)
 
 
-def _canon(drv: _Driver) -> tuple:
-    """The state key, independent of the order in which handles were allocated.
+class _KeyBuffer:
+    """The explorer's state key, one fixed slot per cell, updated per step.
 
-    Op k allocated handle ell + k, and its owner (pid, index in that pid's
-    sequence) does not depend on the interleaving.  Each allocated handle is
-    renamed ell + (rank of its owner among the allocated ops) in every cell
-    that holds a handle, and the arena is listed in the new order.  Pids are
-    not permuted: the helpers read the announcements in pid order.
+    Handles appear under their fixed names (``_Driver.names``), so states
+    that differ only in the order of allocation have one key.  Pids are not
+    permuted: the helpers read the announcements in pid order.  The slots,
+    in order:
+
+    * ``next``, ``prev``, ``old`` and ``new`` of each node the exploration
+      can allocate, by fixed name.  A node's item is fixed by its owner, so
+      it has no slot, and a node not yet allocated reads null everywhere,
+      like a fresh one; its owner's run and cursor tell the two apart.
+    * the two Head components, then both components of each announcement;
+    * every ProcessRun field of each pid's run, all 0 when none is in flight;
+    * each pid's cursor.
+
+    The typecode is the narrowest that holds the largest value the driver
+    can reach.  A step writes at most one shared cell, so ``after_step``
+    rewrites only the cells named by the journal entries the step appended,
+    and the stepped pid's run and cursor.
     """
-    state, owners = drv.state, drv.owners
-    key = (state.canonical(),
-           tuple(r.canonical() if r else None for r in drv.runs),
-           tuple(drv.cursors))
-    if all(a < b for a, b in zip(owners, owners[1:])):
-        return key  # the renaming is the identity
-    return _rename(key, len(state.items),
-                   sorted(range(len(owners)), key=owners.__getitem__))
 
+    def __init__(self, drv: _Driver, step_bound: int):
+        state, p = drv.state, drv.state.p
+        n_nodes = len(state.items) + sum(map(len, drv.workload))
+        self.head_slot = 4 * n_nodes
+        self.ann_slot = self.head_slot + 2
+        self.run_slot = self.ann_slot + 2 * p
+        self.cursor_slot = self.run_slot + p * len(_RUN_KINDS)
+        # a run's inspected count is at most the steps on its path, and no
+        # path gets near 2**62 steps
+        largest = _OFFSET + max(*state.items, *itertools.chain(*drv.workload),
+                                n_nodes, p + 1, state.phi, len(_PC_CODES),
+                                min(step_bound, 1 << 62))
+        self.typecode = next(
+            (t for t in "BHIQ" if largest < 1 << 8 * struct.calcsize(t)), None)
+        if self.typecode is None:
+            raise ValueError("item ids too large for the explorer's state key")
+        self.raw = bytearray(struct.calcsize(self.typecode) * (self.cursor_slot + p))
+        self.cells = memoryview(self.raw).cast(self.typecode)
+        # codes[v + _OFFSET] is how a handle-valued cell stores value v
+        self.codes: list[int] = []
 
-def _rename(key: tuple, ell: int, order: list[int]) -> tuple:
-    """``key`` with handle ell + order[rank] renamed ell + rank throughout."""
-    (nodes, head, ann), runs, cursors = key
-    get = {ell + k: ell + rank for rank, k in enumerate(order)}.get
-    # sentinels, None and the initial nodes keep their value
-    nodes = tuple(
-        (item, get(nxt, nxt), get(prev, prev), get(old, old), get(new, new))
-        for item, nxt, prev, old, new in itertools.chain(
-            nodes[:ell], (nodes[ell + k] for k in order))
-    )
-    head = tuple(get(x, x) for x in head)
-    ann = tuple((get(a, a), b) for a, b in ann)
-    renamed = []
-    for r in runs:
-        if r is not None:
-            r = list(r)
-            for i in _RUN_HANDLE_SLOTS:
-                r[i] = get(r[i], r[i])
-            r = tuple(r)
-        renamed.append(r)
-    return (nodes, head, ann), tuple(renamed), cursors
+    def encode(self, drv: _Driver) -> bytes:
+        """Write every slot from the driver, and return the key."""
+        state, cells = drv.state, self.cells
+        self.codes[:] = range(_OFFSET)
+        self.codes.extend(n + _OFFSET for n in drv.names)
+        self.raw[:] = bytes(len(self.raw))
+        for k in range(self.head_slot):
+            cells[k] = dmtf.NULL + _OFFSET
+        for handle in range(len(state.arena)):
+            for fieldname in _NODE_SLOTS:
+                self._put_node(state, drv.names, handle, fieldname)
+        self._put_head(state)
+        for j in range(state.p):
+            self._put_ann(state, j)
+        for i in range(state.p):
+            self._put_run(i, drv.runs[i])
+            cells[self.cursor_slot + i] = drv.cursors[i] + _OFFSET
+        return bytes(self.raw)
+
+    def after_step(self, drv: _Driver, pid: int, n_journal: int) -> bytes:
+        """The key after a step of ``pid`` that extended the state's journal
+        from ``n_journal`` entries."""
+        state = drv.state
+        for entry in state.journal[n_journal:]:
+            kind = entry[0]
+            if kind == dmtf.JOURNAL_NODE:
+                self._put_node(state, drv.names, entry[1], entry[2])
+            elif kind == dmtf.JOURNAL_ANN:
+                self._put_ann(state, entry[1])
+            elif kind == dmtf.JOURNAL_HEAD:
+                self._put_head(state)
+            else:  # the invoke's fresh node: its cells already read null
+                self.codes.append(drv.names[-1] + _OFFSET)
+        i = pid - 1
+        self._put_run(i, drv.runs[i])
+        self.cells[self.cursor_slot + i] = drv.cursors[i] + _OFFSET
+        return bytes(self.raw)
+
+    def restore(self, drv: _Driver, key: bytes) -> None:
+        """Take the buffer back to ``key`` after the driver undid a step."""
+        self.raw[:] = key
+        del self.codes[_OFFSET + len(drv.names):]
+
+    def _put_node(self, state: SharedState, names: list[int], handle: int,
+                  fieldname: str) -> None:
+        self.cells[4 * names[handle] + _NODE_SLOTS[fieldname]] = \
+            self.codes[getattr(state.arena[handle], fieldname) + _OFFSET]
+
+    def _put_head(self, state: SharedState) -> None:
+        g, h = state.head
+        self.cells[self.head_slot] = self.codes[g + _OFFSET]
+        self.cells[self.head_slot + 1] = self.codes[h + _OFFSET]
+
+    def _put_ann(self, state: SharedState, j: int) -> None:
+        a, b = state.ann[j]
+        self.cells[self.ann_slot + 2 * j] = self.codes[a + _OFFSET]
+        self.cells[self.ann_slot + 2 * j + 1] = b + _OFFSET
+
+    def _put_run(self, i: int, run: Optional[ProcessRun]) -> None:
+        cells, codes = self.cells, self.codes
+        k = self.run_slot + i * len(_RUN_KINDS)
+        if run is None:
+            for k in range(k, k + len(_RUN_KINDS)):
+                cells[k] = 0
+            return
+        for value, kind in zip(run.__dict__.values(), _RUN_KINDS):
+            if kind == _VALUE:
+                cells[k] = value + _OFFSET
+            elif kind == _HANDLE:
+                cells[k] = 0 if value is None else codes[value + _OFFSET]
+            else:
+                cells[k] = _PC_CODES[value]
+            k += 1
 
 
 def explore_all(
@@ -566,13 +657,15 @@ def explore_all(
         report = ExploreReport(0, 0, 0)
     drv = _Driver(state_factory(), workload)
     drv.state.journal = []
-    seen = {_canon(drv)}
+    keys = _KeyBuffer(drv, step_bound)
+    root = keys.encode(drv)
+    seen = {root}
     report.states += 1
-    yield from _explore(drv, 0, seen, step_bound, report)
+    yield from _explore(drv, keys, root, 0, seen, step_bound, report)
 
 
-def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
-             report: ExploreReport) -> Iterator[ExecutionHistory]:
+def _explore(drv: _Driver, keys: _KeyBuffer, key: bytes, depth: int, seen: set,
+             step_bound: int, report: ExploreReport) -> Iterator[ExecutionHistory]:
     if drv.all_done():
         report.histories += 1
         yield replace(drv.history(), events=list(drv.events),
@@ -586,6 +679,7 @@ def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
         if not drv.pending(pid):
             continue
         mark = drv.mark(pid)
+        n_journal = len(state.journal)
         n_violations = len(state.transition_violations)
         outcome = drv.step(pid)
         for v in state.transition_violations[n_violations:]:
@@ -601,12 +695,13 @@ def _explore(drv: _Driver, depth: int, seen: set, step_bound: int,
                 report.violations.append(
                     f"schedule {drv.schedule}: {verdict.reason}"
                 )
-        key = _canon(drv)
-        if key not in seen:
-            seen.add(key)
+        child = keys.after_step(drv, pid, n_journal)
+        if child not in seen:
+            seen.add(child)
             report.states += 1
-            yield from _explore(drv, depth + 1, seen, step_bound, report)
+            yield from _explore(drv, keys, child, depth + 1, seen, step_bound, report)
         drv.undo(pid, mark)
+        keys.restore(drv, key)
 
 
 def explore_check(

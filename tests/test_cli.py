@@ -133,6 +133,17 @@ def test_explore_corruption_flags_violations(capsys):
     assert out.splitlines()[2].split(",")[3] != "0"
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (["--ell", "300", "--requests", "1", "--budget", "60"], "1891,0,61,0"),
+    (["--ell", "3", "--phi", "400", "--requests", "1"], "2925,4,0,0"),
+], ids=["handles-past-255", "phi-past-255"])
+def test_explore_key_holds_values_past_one_byte(argv, counts, capsys):
+    # the explorer's state key must widen its slots to the largest handle
+    # and phase count, not fail on them
+    assert main(["explore"] + argv) == 0
+    assert capsys.readouterr().out.splitlines()[2] == counts
+
+
 def test_findvalue_deterministic(capsys):
     assert main(["findvalue", "--mode", "deterministic", "--n", "10"]) == 0
     rows = capsys.readouterr().out.strip().splitlines()

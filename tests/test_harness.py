@@ -1,6 +1,7 @@
 """Tests for scheduling, histories, linearization, costs, and exploration."""
 
 import gc
+import itertools
 import random
 import re
 from dataclasses import fields
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from listlab import dmtf
+from listlab import dmtf, harness
 from listlab.dmtf import NOT_PRESENT
 from listlab.harness import (
     Counterexample,
@@ -18,8 +19,7 @@ from listlab.harness import (
     LinearizationWitness,
     Schedule,
     _Driver,
-    _canon,
-    _rename,
+    _KeyBuffer,
     account,
     check_linearizable,
     explore_all,
@@ -561,31 +561,38 @@ def _raw_key(drv):
             tuple(drv.cursors))
 
 
-def _raw_index_outcomes(workload, on_state=lambda drv: None):
-    """Terminal outcomes of a depth-first search that keys each state on raw
-    arena indices: the explorer's key before handles were renamed, kept as
-    the reference for the renamed one.  ``on_state`` sees each new state."""
-    drv = _Driver(fresh(), workload)
+def _search(workload, on_child=lambda drv, key: None, factory=fresh, prune_raw=True):
+    """Terminal outcomes of a depth-first search with the explorer's
+    incremental key kept alongside.  With ``prune_raw`` it prunes on raw
+    arena indices, the explorer's key before handles were renamed, kept as
+    the reference; otherwise on the incremental key, as the explorer does.
+    ``on_child(drv, key)`` sees every state a step reaches, pruned or not."""
+    drv = _Driver(factory(), workload)
     drv.state.journal = []
-    seen = {_raw_key(drv)}
+    keys = _KeyBuffer(drv, 200)
+    root = keys.encode(drv)
+    seen = {_raw_key(drv) if prune_raw else root}
     out = set()
 
-    def visit():
+    def visit(key):
         if drv.all_done():
             out.add(_outcome(drv.state, drv.history()))
             return
         for pid in range(1, drv.state.p + 1):
             if drv.pending(pid):
                 mark = drv.mark(pid)
+                n_journal = len(drv.state.journal)
                 drv.step(pid)
-                key = _raw_key(drv)
-                if key not in seen:
-                    seen.add(key)
-                    on_state(drv)
-                    visit()
+                child = keys.after_step(drv, pid, n_journal)
+                on_child(drv, child)
+                seen_as = _raw_key(drv) if prune_raw else child
+                if seen_as not in seen:
+                    seen.add(seen_as)
+                    visit(child)
                 drv.undo(pid, mark)
+                keys.restore(drv, key)
 
-    visit()
+    visit(root)
     return out
 
 
@@ -601,44 +608,176 @@ def test_explore_renamed_key_keeps_every_terminal_outcome(workload):
         run(st, workload, Schedule(kind="explicit", pids=history.schedule))
         renamed.add(_outcome(st, history))
     assert rep.bound_hits == 0
-    assert renamed == _raw_index_outcomes(workload)
+    assert renamed == _search(workload)
+
+
+# positions of the handle-valued fields in ProcessRun.canonical()
+_RUN_HANDLE_SLOTS = tuple(i for i, f in enumerate(fields(dmtf.ProcessRun))
+                          if f.name in dmtf.RUN_HANDLE_FIELDS)
+
+
+def _rename(key: tuple, ell: int, order: list[int]) -> tuple:
+    """The raw key with handle ell + order[rank] renamed ell + rank
+    throughout: each allocated handle named by the rank of its owner among
+    the allocated ops, the explorer's key before the fixed names."""
+    (nodes, head, ann), runs, cursors = key
+    get = {ell + k: ell + rank for rank, k in enumerate(order)}.get
+    # sentinels, None and the initial nodes keep their value
+    nodes = tuple(
+        (item, get(nxt, nxt), get(prev, prev), get(old, old), get(new, new))
+        for item, nxt, prev, old, new in itertools.chain(
+            nodes[:ell], (nodes[ell + k] for k in order))
+    )
+    head = tuple(get(x, x) for x in head)
+    ann = tuple((get(a, a), b) for a, b in ann)
+    renamed = []
+    for r in runs:
+        if r is not None:
+            r = list(r)
+            for i in _RUN_HANDLE_SLOTS:
+                r[i] = get(r[i], r[i])
+            r = tuple(r)
+        renamed.append(r)
+    return (nodes, head, ann), tuple(renamed), cursors
+
+
+def _rank_renamed_key(drv):
+    # fixed names order the owners as (pid, index) does, so sorting the ops
+    # by them gives the ranks
+    ell = len(drv.state.items)
+    order = sorted(range(len(drv.names) - ell), key=lambda k: drv.names[ell + k])
+    return _rename(_raw_key(drv), ell, order)
+
+
+@pytest.mark.parametrize("factory, workload", [
+    (fresh, ((2,), (2,))),
+    (fresh, ((1,), (2,))),
+    (fresh, ((2,), (1,))),
+    (fresh, ((2, 1), (2,))),
+    (_corrupted, ((2,), (2,))),
+    (lambda: fresh(p=3), ((1,), (1,), (1,))),
+], ids=["2-2", "1-2", "2-1", "21-2", "corrupt", "p3"])
+def test_incremental_key_encodes_the_state_as_the_rank_renaming_does(factory, workload):
+    # on every state a raw-index search reaches, the key updated step by
+    # step equals the key written from scratch, and new keys and
+    # rank-renamed keys determine each other
+    to_renamed, to_key, raw = {}, {}, set()
+
+    def check(drv, key):
+        assert key == _KeyBuffer(drv, 200).encode(drv)
+        renamed = _rank_renamed_key(drv)
+        assert to_renamed.setdefault(key, renamed) == renamed
+        assert to_key.setdefault(renamed, key) == key
+        raw.add(_raw_key(drv))
+
+    _search(workload, check, factory)
+    assert len(raw) > len(to_key)  # some states differ only in allocation order
+
+
+def _decode(keys, key):
+    """The cells a key holds, with handles under their fixed names: the
+    node fields of every fixed name, Head, the announcements, the runs'
+    fields (None for no run) and the cursors."""
+    codes = memoryview(key).cast(keys.typecode).tolist()
+
+    def value(code):
+        return None if code == 0 else code - harness._OFFSET
+
+    nodes = [tuple(map(value, codes[k:k + 4])) for k in range(0, keys.head_slot, 4)]
+    head = tuple(map(value, codes[keys.head_slot:keys.ann_slot]))
+    ann = [tuple(map(value, codes[k:k + 2])) for k in range(keys.ann_slot, keys.run_slot, 2)]
+    names = [f.name for f in fields(dmtf.ProcessRun)]
+    runs = []
+    for k in range(keys.run_slot, keys.cursor_slot, len(names)):
+        chunk = codes[k:k + len(names)]
+        runs.append(None if not any(chunk) else tuple(
+            dmtf.PROGRAM_COUNTERS[value(c)] if name == "pc" else value(c)
+            for name, c in zip(names, chunk)))
+    return nodes, head, ann, runs, [value(c) for c in codes[keys.cursor_slot:]]
+
+
+def _fixed_cells(drv, n_nodes):
+    """The driver's cells as ``_decode`` returns them."""
+    def name(v):
+        return drv.names[v] if v is not None and v >= 0 else v
+
+    st = drv.state
+    nodes = [(dmtf.NULL,) * 4] * n_nodes
+    for h, node in enumerate(st.arena):
+        nodes[drv.names[h]] = tuple(name(getattr(node, f))
+                                    for f in ("next", "prev", "old", "new"))
+    runs = [
+        None if r is None else tuple(
+            name(v) if f.name in dmtf.RUN_HANDLE_FIELDS else v
+            for f, v in zip(fields(dmtf.ProcessRun), r.canonical()))
+        for r in drv.runs
+    ]
+    return (nodes, tuple(map(name, st.head)), [(name(a), b) for a, b in st.ann],
+            runs, list(drv.cursors))
+
+
+@pytest.mark.parametrize("factory, workload", [
+    (fresh, ((2, 1), (2,))),
+    (lambda: fresh(p=3), ((2,), (), (2,))),
+], ids=["21-2", "p3"])
+def test_key_decodes_to_the_drivers_cells_under_fixed_names(factory, workload):
+    n_nodes = len(factory().items) + sum(map(len, workload))
+    layout = _KeyBuffer(_Driver(factory(), workload), 200)
+    decoded = 0
+
+    def check(drv, key):
+        nonlocal decoded
+        assert _decode(layout, key) == _fixed_cells(drv, n_nodes)
+        decoded += 1
+
+    _search(workload, check, factory, prune_raw=False)
+    assert decoded > 1000
 
 
 def test_explore_key_ignores_allocation_order():
     # both processes invoke and announce, in opposite orders: the same ops
-    # hold swapped handles, which the key renames by (pid, op index)
+    # hold swapped handles, which the key names by (pid, op index)
     keys, raw = set(), set()
     for schedule in ([1, 2, 1, 2], [2, 1, 2, 1], [1, 2, 2, 1]):
         drv = _Driver(fresh(), ((2,), (2,)))
         for pid in schedule:
             drv.step(pid)
-        keys.add(_canon(drv))
+        keys.add(_KeyBuffer(drv, 200).encode(drv))
         raw.add(_raw_key(drv))
     assert len(keys) == 1
     assert len(raw) == 2
 
 
-def test_unrenamed_key_is_the_renamed_key_when_owners_are_in_rank_order():
-    # _canon skips the renaming when it is the identity; on every state of
-    # this search the key it returns is the one the renaming builds
-    identity = []
+@pytest.mark.parametrize("factory, workload", [
+    (fresh, ((1,), (2,))),
+    (fresh, ((2, 1), (2,))),
+    (fresh, ((1, 2), (2, 1))),
+    (lambda: fresh(items=(1, 2, 3)), ((3, 2), (3, 1))),
+], ids=["1-2", "21-2", "12-21", "ell3-32-31"])
+def test_prepend_counts_are_a_function_of_the_key(factory, workload):
+    # snapshot_invariants reads prepend_counts, which the key leaves out;
+    # pruning is sound for it if every state with one key has the same
+    # counts, under fixed names
+    counts_of = {}
 
-    def check(drv):
-        order = sorted(range(len(drv.owners)), key=drv.owners.__getitem__)
-        assert _canon(drv) == _rename(_raw_key(drv), 2, order)
-        identity.append(order == sorted(order))
+    def check(drv, key):
+        counts = {drv.names[h]: c for h, c in drv.state.prepend_counts.items()}
+        assert counts_of.setdefault(key, counts) == counts
 
-    _raw_index_outcomes(((2, 1), (2,)), check)
-    assert any(identity) and not all(identity)
+    _search(workload, check, factory, prune_raw=False)
+    assert len(counts_of) > 1000
 
 
 def test_every_run_field_is_classified_for_renaming():
-    # the explorer's key renames the fields in RUN_HANDLE_FIELDS; a new
-    # ProcessRun field must be added to that list or to this one
+    # the key stores the fields in RUN_HANDLE_FIELDS under fixed names; a
+    # new ProcessRun field must be added to that list or to this one
     not_handles = {"pid", "item", "pc", "b", "c", "eprime", "j", "inspected"}
     handles = set(dmtf.RUN_HANDLE_FIELDS)
     assert not handles & not_handles
-    assert handles | not_handles == {f.name for f in fields(dmtf.ProcessRun)}
+    names = [f.name for f in fields(dmtf.ProcessRun)]
+    assert handles | not_handles == set(names)
+    assert {n for n, kind in zip(names, harness._RUN_KINDS)
+            if kind == harness._HANDLE} == handles
 
 
 def test_explore_leaves_no_cyclic_garbage():
@@ -664,7 +803,7 @@ def _driver_snapshot(drv):
         [r.canonical() if r else None for r in drv.runs],
         list(drv.cursors),
         list(drv.opids),
-        list(drv.owners),
+        list(drv.names),
         list(drv.events),
         list(drv.schedule),
     )
