@@ -334,6 +334,83 @@ PROGRAM_COUNTERS = (
     MTF_DONE,
 )
 
+# The locals of a search: the ProcessRun fields a step reads and writes,
+# other than the pid, the item, the pc, the cost counter ``inspected`` (which
+# a step only counts up) and the result (set only as the search responds).
+RUN_LOCALS = ("g", "h", "h1", "h2", "hp", "gp", "a", "b", "c", "eprime",
+              "pred", "succ", "j")
+
+# What the step at each pc does with the locals, read off step(): the locals
+# it reads, the locals it may write, and the pcs it may move to (a step that
+# responds ends the run instead).  The tests check the table against step()
+# on every state of several explorations.
+STEP_LOCALS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    ALLOC: ("", "g", (ANNOUNCE,)),
+    ANNOUNCE: ("g", "", (GETHEAD,)),
+    GETHEAD: ("", "h1 h", (KATFRONT,)),
+    KATFRONT: ("h1 h", "c", (UNANN_FRONT1, READANN4, KFOUND)),
+    UNANN_FRONT1: ("g h1", "a b", (UNANN_FRONT2,)),
+    UNANN_FRONT2: ("a b h1", "", ()),
+    KFOUND: ("h c", "c", (READANN1, READANN3, NEXTPTR)),
+    READANN1: ("", "a b", (UNANN_OTHER1, SETGOLD)),
+    UNANN_OTHER1: ("a b", "", ()),
+    SETGOLD: ("g h", "", (SETHNEW,)),
+    SETHNEW: ("g h", "", (SETGPRIME,)),
+    SETGPRIME: ("h", "gp", (READANN2, MTF_OUTER)),
+    READANN2: ("", "a b", (UNANN_POSTMTF,)),
+    UNANN_POSTMTF: ("a b", "", ()),
+    READANN3: ("", "a b", (UNANN_OTHER2, NEXTPTR)),
+    UNANN_OTHER2: ("a b", "", ()),
+    NEXTPTR: ("h", "h", (READANN4, KFOUND)),
+    READANN4: ("", "a b", (UNANN_END,)),
+    UNANN_END: ("a b", "", ()),
+    MTF_OUTER: ("gp", "", (READANN2, MTF_GETHEAD)),
+    MTF_GETHEAD: ("", "h1 h2", (MTF_GETOLD,)),
+    MTF_GETOLD: ("h1", "hp", (MTF_PREPCHECK, MTF_SETNEXT)),
+    MTF_PREPCHECK: ("gp", "", (MTF_TRYPREPEND, MTF_OUTER)),
+    MTF_TRYPREPEND: ("h1 h2 gp", "", (MTF_OUTER,)),
+    MTF_SETNEXT: ("h1 h2", "", (MTF_SETPREV,)),
+    MTF_SETPREV: ("h1 h2", "", (MTF_H1ITEM,)),
+    MTF_H1ITEM: ("h1", "eprime j", (MTF_READANN,)),
+    MTF_READANN: ("j eprime", "a b j", (MTF_INFORMCHECK, MTF_READANN, MTF_GETPREV)),
+    MTF_INFORMCHECK: ("h1 j", "j", (MTF_INFORM, MTF_READANN, MTF_GETPREV)),
+    MTF_INFORM: ("a b h1 j", "j", (MTF_READANN, MTF_GETPREV)),
+    MTF_GETPREV: ("hp", "pred", (MTF_GETNEXT,)),
+    MTF_GETNEXT: ("hp", "succ", (MTF_REMOVE1,)),
+    MTF_REMOVE1: ("pred hp succ", "", (MTF_REMOVE2, MTF_GONE)),
+    MTF_REMOVE2: ("pred hp succ", "", (MTF_GONE,)),
+    MTF_GONE: ("h1 hp", "", (MTF_DONE,)),
+    MTF_DONE: ("h1 hp", "", (MTF_OUTER,)),
+}
+
+
+def _live_locals() -> dict[str, frozenset[str]]:
+    """The locals live at each pc: read by its step, or live at a pc the
+    step may move to and not written by it (the least fixpoint).
+
+    A local written on some branches only (KATFRONT's ``c``, KFOUND's
+    ``c``, the helper's ``j``) is read by that step or dead where the other
+    branches lead, so counting it as written on every branch is exact.
+    """
+    table = {pc: (frozenset(reads.split()), frozenset(writes.split()), nexts)
+             for pc, (reads, writes, nexts) in STEP_LOCALS.items()}
+    live = dict.fromkeys(table, frozenset())
+    changed = True
+    while changed:
+        changed = False
+        for pc in reversed(PROGRAM_COUNTERS):
+            reads, writes, nexts = table[pc]
+            now = reads.union(*(live[n] - writes for n in nexts))
+            if now != live[pc]:
+                live[pc], changed = now, True
+    return live
+
+
+# The locals whose value a run's future depends on, at each pc.  Two runs at
+# one pc that differ only in other locals (or in ``inspected``) take the same
+# steps from there on.
+LIVE_LOCALS = _live_locals()
+
 
 @dataclass
 class ProcessRun:

@@ -26,7 +26,7 @@ import itertools
 import json
 import random
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -503,18 +503,35 @@ class ExploreReport:
 
 
 # A value v is stored as v + _OFFSET, past the sentinels (NOT_PRESENT is the
-# lowest), and 0 stands for None: no run in flight, or no result yet.
+# lowest), and 0 stands for "none": no run in flight, or a dead local.
 _OFFSET = 1 - NOT_PRESENT
 _NODE_SLOTS = {"next": 0, "prev": 1, "old": 2, "new": 3}
 _PC_CODES = {pc: i + _OFFSET for i, pc in enumerate(dmtf.PROGRAM_COUNTERS)}
-# how the key stores each ProcessRun field, in declaration order (the order
-# of a run's __dict__): a handle under its fixed name, a program counter by
-# its index, any other value as it is
-_HANDLE, _PC, _VALUE = range(3)
-_RUN_KINDS = tuple(
-    _HANDLE if f.name in dmtf.RUN_HANDLE_FIELDS else _PC if f.name == "pc" else _VALUE
-    for f in fields(ProcessRun)
-)
+# a run's slots: its pc, then each of dmtf.RUN_LOCALS
+_RUN_SLOTS = 1 + len(dmtf.RUN_LOCALS)
+_LOCAL_SLOTS = {name: 1 + k for k, name in enumerate(dmtf.RUN_LOCALS)}
+_HANDLE_LOCALS = frozenset(dmtf.RUN_HANDLE_FIELDS)
+
+
+def _run_writes(live_before, writes, pc: str) -> tuple:
+    """The run slots a step to ``pc`` may change, as (slot, local or None
+    for 0, is a handle): the locals it wrote that are live at ``pc``, and
+    the locals that die."""
+    live = dmtf.LIVE_LOCALS[pc]
+    return tuple(
+        (_LOCAL_SLOTS[x], x if x in live else None, x in _HANDLE_LOCALS)
+        for x in dmtf.RUN_LOCALS
+        if (x in live and x in writes) or (x in live_before and x not in live))
+
+
+# the slots to rewrite for each step, by (pc code before, pc code after); a
+# run is in flight from its invoke, which takes the ALLOC step, so the step
+# out of ALLOC starts from code 0 (no run)
+_STEP_WRITES = {
+    (0 if pc == dmtf.ALLOC else _PC_CODES[pc], _PC_CODES[nxt]):
+        _run_writes(dmtf.LIVE_LOCALS[pc], writes.split(), nxt)
+    for pc, (_reads, writes, nexts) in dmtf.STEP_LOCALS.items() for nxt in nexts
+}
 
 
 class _KeyBuffer:
@@ -530,27 +547,29 @@ class _KeyBuffer:
       it has no slot, and a node not yet allocated reads null everywhere,
       like a fresh one; its owner's run and cursor tell the two apart.
     * the two Head components, then both components of each announcement;
-    * every ProcessRun field of each pid's run, all 0 when none is in flight;
+    * each pid's run: its pc, then its locals (``dmtf.RUN_LOCALS``), each 0
+      where it is dead (``dmtf.LIVE_LOCALS``), all 0 when no run is in
+      flight.  The pid and the item follow from the slot and the cursor,
+      the result is None while a run is in flight, and ``inspected`` is
+      read by no step, so none of them has a slot;
     * each pid's cursor.
 
-    The typecode is the narrowest that holds the largest value the driver
-    can reach.  A step writes at most one shared cell, so ``after_step``
-    rewrites only the cells named by the journal entries the step appended,
-    and the stepped pid's run and cursor.
+    Every slot is bounded by the workload, so the typecode is the narrowest
+    that holds the largest value the driver can reach, and the reachable
+    keys are finite.  A step writes at most one shared cell, so
+    ``after_step`` rewrites only the cells named by the journal entries the
+    step appended, the run slots the step can change, and the cursor.
     """
 
-    def __init__(self, drv: _Driver, step_bound: int):
+    def __init__(self, drv: _Driver):
         state, p = drv.state, drv.state.p
         n_nodes = len(state.items) + sum(map(len, drv.workload))
         self.head_slot = 4 * n_nodes
         self.ann_slot = self.head_slot + 2
         self.run_slot = self.ann_slot + 2 * p
-        self.cursor_slot = self.run_slot + p * len(_RUN_KINDS)
-        # a run's inspected count is at most the steps on its path, and no
-        # path gets near 2**62 steps
+        self.cursor_slot = self.run_slot + p * _RUN_SLOTS
         largest = _OFFSET + max(*state.items, *itertools.chain(*drv.workload),
-                                n_nodes, p + 1, state.phi, len(_PC_CODES),
-                                min(step_bound, 1 << 62))
+                                n_nodes, p + 1, state.phi, len(_PC_CODES))
         self.typecode = next(
             (t for t in "BHIQ" if largest < 1 << 8 * struct.calcsize(t)), None)
         if self.typecode is None:
@@ -574,8 +593,11 @@ class _KeyBuffer:
         self._put_head(state)
         for j in range(state.p):
             self._put_ann(state, j)
-        for i in range(state.p):
-            self._put_run(i, drv.runs[i])
+        for i, run in enumerate(drv.runs):
+            if run is not None:
+                k = self.run_slot + i * _RUN_SLOTS
+                cells[k] = _PC_CODES[run.pc]
+                self._put_locals(k, run, _run_writes((), dmtf.RUN_LOCALS, run.pc))
             cells[self.cursor_slot + i] = drv.cursors[i] + _OFFSET
         return bytes(self.raw)
 
@@ -594,8 +616,16 @@ class _KeyBuffer:
             else:  # the invoke's fresh node: its cells already read null
                 self.codes.append(drv.names[-1] + _OFFSET)
         i = pid - 1
-        self._put_run(i, drv.runs[i])
-        self.cells[self.cursor_slot + i] = drv.cursors[i] + _OFFSET
+        run = drv.runs[i]
+        k = self.run_slot + i * _RUN_SLOTS
+        if run is None:  # it responded
+            for slot in range(k, k + _RUN_SLOTS):
+                self.cells[slot] = 0
+            self.cells[self.cursor_slot + i] = drv.cursors[i] + _OFFSET
+        else:
+            pc = _PC_CODES[run.pc]
+            self._put_locals(k, run, _STEP_WRITES[self.cells[k], pc])
+            self.cells[k] = pc
         return bytes(self.raw)
 
     def restore(self, drv: _Driver, key: bytes) -> None:
@@ -618,21 +648,15 @@ class _KeyBuffer:
         self.cells[self.ann_slot + 2 * j] = self.codes[a + _OFFSET]
         self.cells[self.ann_slot + 2 * j + 1] = b + _OFFSET
 
-    def _put_run(self, i: int, run: Optional[ProcessRun]) -> None:
+    def _put_locals(self, k: int, run: ProcessRun, writes: tuple) -> None:
         cells, codes = self.cells, self.codes
-        k = self.run_slot + i * len(_RUN_KINDS)
-        if run is None:
-            for k in range(k, k + len(_RUN_KINDS)):
-                cells[k] = 0
-            return
-        for value, kind in zip(run.__dict__.values(), _RUN_KINDS):
-            if kind == _VALUE:
-                cells[k] = value + _OFFSET
-            elif kind == _HANDLE:
-                cells[k] = 0 if value is None else codes[value + _OFFSET]
+        for slot, name, is_handle in writes:
+            if name is None:
+                cells[k + slot] = 0
+            elif is_handle:
+                cells[k + slot] = codes[getattr(run, name) + _OFFSET]
             else:
-                cells[k] = _PC_CODES[value]
-            k += 1
+                cells[k + slot] = getattr(run, name) + _OFFSET
 
 
 def explore_all(
@@ -646,7 +670,9 @@ def explore_all(
     Yields the history of every terminating schedule that explores at least
     one new state on each prefix (pruned schedules revisit a state some other
     schedule already reached, so their reachable behavior is covered).  Paths
-    cut off by the step bound count as ``bound_hits``.
+    cut off by the step bound count as ``bound_hits``.  A step back to a
+    state on the current path is a schedule that can repeat forever with no
+    op responding, and is reported as a violation.
 
     One driver is stepped in place: after each child the state's undo
     journal and the driver's saved fields restore the parent.  Each history
@@ -657,23 +683,27 @@ def explore_all(
         report = ExploreReport(0, 0, 0)
     drv = _Driver(state_factory(), workload)
     drv.state.journal = []
-    keys = _KeyBuffer(drv, step_bound)
+    keys = _KeyBuffer(drv)
     root = keys.encode(drv)
     seen = {root}
     report.states += 1
-    yield from _explore(drv, keys, root, 0, seen, step_bound, report)
+    yield from _explore(drv, keys, root, {}, seen, step_bound, report)
 
 
-def _explore(drv: _Driver, keys: _KeyBuffer, key: bytes, depth: int, seen: set,
+def _explore(drv: _Driver, keys: _KeyBuffer, key: bytes, path: dict, seen: set,
              step_bound: int, report: ExploreReport) -> Iterator[ExecutionHistory]:
+    """Explore the children of the state ``key``; ``path`` maps each key on
+    the path to it to the number of steps taken to reach it."""
     if drv.all_done():
         report.histories += 1
         yield replace(drv.history(), events=list(drv.events),
                       schedule=list(drv.schedule))
         return
+    depth = len(drv.schedule)
     if depth >= step_bound:
         report.bound_hits += 1
         return
+    path[key] = depth
     state = drv.state
     for pid in range(1, state.p + 1):
         if not drv.pending(pid):
@@ -699,9 +729,16 @@ def _explore(drv: _Driver, keys: _KeyBuffer, key: bytes, depth: int, seen: set,
         if child not in seen:
             seen.add(child)
             report.states += 1
-            yield from _explore(drv, keys, child, depth + 1, seen, step_bound, report)
+            yield from _explore(drv, keys, child, path, seen, step_bound, report)
+        elif child in path:
+            start = path[child]
+            report.violations.append(
+                f"schedule {drv.schedule}: steps {start + 1} to {depth + 1} "
+                f"return to the state after step {start}, so repeating them "
+                "never terminates")
         drv.undo(pid, mark)
         keys.restore(drv, key)
+    del path[key]
 
 
 def explore_check(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from listlab import dmtf, harness
 from listlab.cli import main
 
 
@@ -135,13 +136,27 @@ def test_explore_corruption_flags_violations(capsys):
 
 @pytest.mark.parametrize("argv, counts", [
     (["--ell", "300", "--requests", "1", "--budget", "60"], "1891,0,61,0"),
-    (["--ell", "3", "--phi", "400", "--requests", "1"], "2925,4,0,0"),
+    (["--ell", "3", "--phi", "400", "--requests", "1"], "2189,4,0,0"),
 ], ids=["handles-past-255", "phi-past-255"])
 def test_explore_key_holds_values_past_one_byte(argv, counts, capsys):
     # the explorer's state key must widen its slots to the largest handle
     # and phase count, not fail on them
     assert main(["explore"] + argv) == 0
     assert capsys.readouterr().out.splitlines()[2] == counts
+
+
+def test_explore_counts_do_not_depend_on_the_budget(capsys):
+    # every slot of the state key is bounded by the workload, so the budget
+    # no longer sets the slot width: the default exploration keys in 1-byte
+    # slots and counts the same at either budget
+    drv = harness._Driver(dmtf.init([1, 2], p=2), ((2,), (2,)))
+    assert harness._KeyBuffer(drv).typecode == "B"
+    rows = []
+    for budget in ("200", "400"):
+        assert main(["explore", "--budget", budget]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1:])
+    assert rows[0] == rows[1] == ["states,histories,bound_hits,violations",
+                                  "2021,4,0,0"]
 
 
 def test_findvalue_deterministic(capsys):

@@ -473,7 +473,9 @@ def test_explore_same_rear_item_clean_and_stable():
     rep1 = explore_check(lambda: fresh(), ((2,), (2,)), step_bound=200)
     assert rep1.violations == []
     assert rep1.bound_hits == 0
-    assert rep1.states == 2757  # determinism regression (5,445 under the raw-index key)
+    # determinism regression (2,757 with every run field in the key, 5,445
+    # under the raw-index key)
+    assert rep1.states == 2021
     rep2 = explore_check(lambda: fresh(), ((2,), (2,)), step_bound=200)
     assert (rep2.states, rep2.histories) == (rep1.states, rep1.histories)
 
@@ -538,9 +540,9 @@ def test_explore_histories_replay_check():
 
 
 @pytest.mark.parametrize("workload, expected", [
-    (((1,), (2,)), (2151, 3, 0, 1)),
-    (((2,), (1,)), (2274, 3, 0, 1)),
-    (((2, 1), (2,)), (11947, 9, 0, 4)),
+    (((1,), (2,)), (1430, 3, 0, 1)),
+    (((2,), (1,)), (1430, 3, 0, 1)),
+    (((2, 1), (2,)), (7686, 9, 0, 4)),
 ], ids=["1-2", "2-1", "21-2"])
 def test_explore_counts_pinned(workload, expected):
     rep = explore_check(lambda: fresh(), workload, step_bound=200)
@@ -569,7 +571,7 @@ def _search(workload, on_child=lambda drv, key: None, factory=fresh, prune_raw=T
     ``on_child(drv, key)`` sees every state a step reaches, pruned or not."""
     drv = _Driver(factory(), workload)
     drv.state.journal = []
-    keys = _KeyBuffer(drv, 200)
+    keys = _KeyBuffer(drv)
     root = keys.encode(drv)
     seen = {_raw_key(drv) if prune_raw else root}
     out = set()
@@ -659,14 +661,14 @@ def _rank_renamed_key(drv):
 ], ids=["2-2", "1-2", "2-1", "21-2", "corrupt", "p3"])
 def test_incremental_key_encodes_the_state_as_the_rank_renaming_does(factory, workload):
     # on every state a raw-index search reaches, the key updated step by
-    # step equals the key written from scratch, and new keys and
-    # rank-renamed keys determine each other
-    to_renamed, to_key, raw = {}, {}, set()
+    # step equals the key written from scratch, and it is a function of
+    # the rank-renamed key (not the other way round: it leaves out dead
+    # locals and the inspected count)
+    to_key, raw = {}, set()
 
     def check(drv, key):
-        assert key == _KeyBuffer(drv, 200).encode(drv)
+        assert key == _KeyBuffer(drv).encode(drv)
         renamed = _rank_renamed_key(drv)
-        assert to_renamed.setdefault(key, renamed) == renamed
         assert to_key.setdefault(renamed, key) == key
         raw.add(_raw_key(drv))
 
@@ -676,8 +678,9 @@ def test_incremental_key_encodes_the_state_as_the_rank_renaming_does(factory, wo
 
 def _decode(keys, key):
     """The cells a key holds, with handles under their fixed names: the
-    node fields of every fixed name, Head, the announcements, the runs'
-    fields (None for no run) and the cursors."""
+    node fields of every fixed name, Head, the announcements, each run's pc
+    and live locals (None for no run) and the cursors.  Every other run
+    slot must read 0."""
     codes = memoryview(key).cast(keys.typecode).tolist()
 
     def value(code):
@@ -686,13 +689,15 @@ def _decode(keys, key):
     nodes = [tuple(map(value, codes[k:k + 4])) for k in range(0, keys.head_slot, 4)]
     head = tuple(map(value, codes[keys.head_slot:keys.ann_slot]))
     ann = [tuple(map(value, codes[k:k + 2])) for k in range(keys.ann_slot, keys.run_slot, 2)]
-    names = [f.name for f in fields(dmtf.ProcessRun)]
     runs = []
-    for k in range(keys.run_slot, keys.cursor_slot, len(names)):
-        chunk = codes[k:k + len(names)]
-        runs.append(None if not any(chunk) else tuple(
-            dmtf.PROGRAM_COUNTERS[value(c)] if name == "pc" else value(c)
-            for name, c in zip(names, chunk)))
+    for k in range(keys.run_slot, keys.cursor_slot, harness._RUN_SLOTS):
+        pc, *local_codes = codes[k:k + harness._RUN_SLOTS]
+        live = dmtf.LIVE_LOCALS[dmtf.PROGRAM_COUNTERS[value(pc)]] if pc else ()
+        assert all(c == 0 for x, c in zip(dmtf.RUN_LOCALS, local_codes)
+                   if x not in live)
+        runs.append((dmtf.PROGRAM_COUNTERS[value(pc)], {
+            x: value(c) for x, c in zip(dmtf.RUN_LOCALS, local_codes) if x in live})
+            if pc else None)
     return nodes, head, ann, runs, [value(c) for c in codes[keys.cursor_slot:]]
 
 
@@ -707,9 +712,9 @@ def _fixed_cells(drv, n_nodes):
         nodes[drv.names[h]] = tuple(name(getattr(node, f))
                                     for f in ("next", "prev", "old", "new"))
     runs = [
-        None if r is None else tuple(
-            name(v) if f.name in dmtf.RUN_HANDLE_FIELDS else v
-            for f, v in zip(fields(dmtf.ProcessRun), r.canonical()))
+        None if r is None else (r.pc, {
+            x: name(getattr(r, x)) if x in dmtf.RUN_HANDLE_FIELDS else getattr(r, x)
+            for x in dmtf.LIVE_LOCALS[r.pc]})
         for r in drv.runs
     ]
     return (nodes, tuple(map(name, st.head)), [(name(a), b) for a, b in st.ann],
@@ -722,7 +727,7 @@ def _fixed_cells(drv, n_nodes):
 ], ids=["21-2", "p3"])
 def test_key_decodes_to_the_drivers_cells_under_fixed_names(factory, workload):
     n_nodes = len(factory().items) + sum(map(len, workload))
-    layout = _KeyBuffer(_Driver(factory(), workload), 200)
+    layout = _KeyBuffer(_Driver(factory(), workload))
     decoded = 0
 
     def check(drv, key):
@@ -742,7 +747,7 @@ def test_explore_key_ignores_allocation_order():
         drv = _Driver(fresh(), ((2,), (2,)))
         for pid in schedule:
             drv.step(pid)
-        keys.add(_KeyBuffer(drv, 200).encode(drv))
+        keys.add(_KeyBuffer(drv).encode(drv))
         raw.add(_raw_key(drv))
     assert len(keys) == 1
     assert len(raw) == 2
@@ -768,16 +773,120 @@ def test_prepend_counts_are_a_function_of_the_key(factory, workload):
     assert len(counts_of) > 1000
 
 
+def _step_effects(drv, run):
+    """What one step of ``run`` (a copy, stepped on the driver's state)
+    does: its events, its journal entries and transition violations, the
+    shared cells after it, and the run's pc, result and live locals after
+    it; or the error it raises.  The state is rolled back afterwards."""
+    st = drv.state
+    n_journal, n_violations = len(st.journal), len(st.transition_violations)
+    events = []
+    try:
+        dmtf.step(st, run, events.append)
+        live = () if run.done else dmtf.LIVE_LOCALS[run.pc]
+        return (events, st.journal[n_journal:], st.transition_violations[n_violations:],
+                st.canonical(), run.pc, run.result, {x: getattr(run, x) for x in live})
+    except (RuntimeError, IndexError) as exc:  # a handle that is no node
+        return repr(exc)
+    finally:
+        st.rollback(n_journal)
+
+
+# two ways to change a value: to another real handle (or a small count or
+# item), and to a sentinel
+_PERTURBATIONS = (lambda v: 1 if v == 0 else 0,
+                  lambda v: dmtf.DONE if v == dmtf.GONE else dmtf.GONE)
+
+
+@pytest.mark.parametrize("factory, workload", [
+    (fresh, ((1,), (2,))),
+    (fresh, ((2,), (1,))),
+    (fresh, ((2, 1), (2,))),
+    (fresh, ((2,), (2,))),
+    (lambda: fresh(items=(1, 2, 3)), ((3, 2), (3, 1))),
+    (lambda: fresh(p=3), ((1,), (1,), (1,))),
+    (lambda: fresh(items=(1, 2, 3), phi=2), ((3,), (3,))),
+], ids=["1-2", "2-1", "21-2", "2-2", "ell3-32-31", "p3", "ell3-phi2"])
+def test_dead_locals_do_not_change_a_step(factory, workload):
+    # at every state of the exploration, each run in flight takes its next
+    # step as it is and with all its dead locals (and inspected) changed:
+    # the events, the journal entries, the shared cells, the next pc, the
+    # result and the locals live after the step must not change.  The
+    # unchanged step also writes only the locals dmtf.STEP_LOCALS lists and
+    # moves to a pc it lists.  At phi=1 the phase count c is always 0, so
+    # only a phi=2 configuration shows that it is live.
+    checked = set()
+
+    def check(drv, key):
+        if key in checked:
+            return
+        checked.add(key)
+        for run in drv.runs:
+            if run is None:
+                continue
+            _reads, writes, nexts = dmtf.STEP_LOCALS[run.pc]
+            dead = [x for x in dmtf.RUN_LOCALS if x not in dmtf.LIVE_LOCALS[run.pc]]
+            twin = run.copy()
+            expected = _step_effects(drv, twin)
+            assert not isinstance(expected, str), expected
+            assert twin.done or twin.pc in nexts
+            assert {x for x in dmtf.RUN_LOCALS
+                    if getattr(twin, x) != getattr(run, x)} <= set(writes.split())
+            for change in _PERTURBATIONS:
+                twin = run.copy()
+                for x in dead + ["inspected"]:
+                    setattr(twin, x, change(getattr(run, x)))
+                assert _step_effects(drv, twin) == expected, (run, dead)
+
+    _search(workload, check, factory, prune_raw=False)
+    assert len(checked) > 200
+
+
+def _cyclic():
+    # node 1's next points back at node 0, so a search for item 3, whose
+    # node is off the list, walks 0, 1, 0, 1, ... and never responds
+    st = fresh(items=(1, 2, 3), p=1)
+    st.arena[1].next = 0
+    return st
+
+
+def test_explore_reports_a_schedule_that_never_terminates():
+    # with the step count out of the key, the walk returns to a state on
+    # its own path: that back edge is reported, not cut off by the bound
+    rep = explore_check(_cyclic, ((3,),), step_bound=200)
+    assert (rep.histories, rep.bound_hits) == (0, 0)
+    assert len(rep.violations) == 1
+    steps = [1] * 10
+    assert rep.violations[0] == (
+        f"schedule {steps}: steps 5 to 10 return to the state after step 4, "
+        "so repeating them never terminates")
+    # the lasso replays: the states after steps 4 and 10 have one key
+    keys = []
+    for n in (4, 10):
+        drv = _Driver(_cyclic(), ((3,),))
+        for pid in steps[:n]:
+            drv.step(pid)
+        keys.append(_KeyBuffer(drv).encode(drv))
+    assert keys[0] == keys[1]
+
+
 def test_every_run_field_is_classified_for_renaming():
-    # the key stores the fields in RUN_HANDLE_FIELDS under fixed names; a
-    # new ProcessRun field must be added to that list or to this one
+    # the key stores a run's pc and its live RUN_LOCALS, those in
+    # RUN_HANDLE_FIELDS under fixed names; a new ProcessRun field must be
+    # added to those lists or to these
     not_handles = {"pid", "item", "pc", "b", "c", "eprime", "j", "inspected"}
+    not_locals = {"pid", "item", "pc", "inspected", "result"}
     handles = set(dmtf.RUN_HANDLE_FIELDS)
+    names = {f.name for f in fields(dmtf.ProcessRun)}
     assert not handles & not_handles
-    names = [f.name for f in fields(dmtf.ProcessRun)]
-    assert handles | not_handles == set(names)
-    assert {n for n, kind in zip(names, harness._RUN_KINDS)
-            if kind == harness._HANDLE} == handles
+    assert handles | not_handles == names
+    assert not set(dmtf.RUN_LOCALS) & not_locals
+    assert set(dmtf.RUN_LOCALS) | not_locals == names
+    # the step table covers every pc and names only locals
+    assert set(dmtf.STEP_LOCALS) == set(dmtf.PROGRAM_COUNTERS)
+    for reads, writes, nexts in dmtf.STEP_LOCALS.values():
+        assert set((reads + " " + writes).split()) <= set(dmtf.RUN_LOCALS)
+        assert set(nexts) <= set(dmtf.PROGRAM_COUNTERS)
 
 
 def test_explore_leaves_no_cyclic_garbage():
